@@ -9,13 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numcore as nc
 from .numcore import Parameter, Tensor
 from .relstore import DatabaseSchema, RelGraph, TableData
-from .sampler import SampledSubgraph
+
+if TYPE_CHECKING:
+    from .model import BatchedSubgraphs
 
 SECONDS_PER_DAY = 86400.0
 
@@ -313,43 +316,41 @@ class EncoderSuite:
         self.pos_enc = PositionalEncoder(config, rng)
         self.mixer = FeatureMixer(config, rng)
 
-    def encode_subgraph(self, sub: SampledSubgraph, graph: RelGraph,
+    def encode_subgraph(self, sub: BatchedSubgraphs, graph: RelGraph,
                         tables: TableData, run_seed: int) -> Tensor:
         type_ids = graph.node_type[sub.nodes]
         type_e = self.type_enc(type_ids)
         hop_e = self.hop_enc(sub.hop)
         time_e = self.time_enc(sub.delta_t)
-        tab_e = self._encode_tabular(sub, graph, tables)
+        tab_e = self._encode_tabular(sub.nodes, graph, tables)
         init = positional_init(run_seed, sub.nodes, self.config.pe_dim)
         pos_e = self.pos_enc(sub.sum_agg, init)
         return self.mixer(type_e, hop_e, time_e, tab_e, pos_e)
 
-    def _encode_tabular(self, sub: SampledSubgraph, graph: RelGraph,
+    def _encode_tabular(self, nodes: np.ndarray, graph: RelGraph,
                         tables: TableData) -> Tensor:
         # group nodes by source table so each table is encoded in one shot
-        type_ids = graph.node_type[sub.nodes]
+        type_ids = graph.node_type[nodes]
         pieces: list[Tensor] = []
-        order = np.empty(len(sub.nodes), dtype=np.intp)
+        order = np.empty(len(nodes), dtype=np.intp)
         pos = 0
         for tid, tname in enumerate(graph.node_table):
             mask = type_ids == tid
             if not mask.any():
                 continue
             idx = np.flatnonzero(mask)
-            rows = graph.node_row[sub.nodes[idx]]
+            rows = graph.node_row[nodes[idx]]
             pieces.append(self.tab_enc.encode_rows(tname, rows, tables))
             order[idx] = np.arange(pos, pos + len(idx))
             pos += len(idx)
         stacked = pieces[0] if len(pieces) == 1 else nc.concat(pieces, axis=0)
         return nc.rows(stacked, order)
 
-    def node_embedding(self, node: int, graph: RelGraph, tables: TableData) -> np.ndarray:
-        """Tabular embedding of one node (semantic-similarity channel)."""
-        tname = graph.node_table[graph.node_type[node]]
+    def node_embedding(self, nodes: np.ndarray, graph: RelGraph,
+                       tables: TableData) -> np.ndarray:
+        """(k, d) tabular embeddings of the nodes (semantic-similarity channel)."""
         with nc.no_grad():
-            out = self.tab_enc.encode_rows(tname, np.array([graph.node_row[node]]),
-                                           tables)
-        return out.data[0]
+            return self._encode_tabular(np.asarray(nodes), graph, tables).data
 
     def parameters(self):
         return (self.type_enc.parameters() + self.hop_enc.parameters()

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import numcore as nc
 from .attention import PAD, AttentionLayer
@@ -42,6 +42,16 @@ class ModelConfig:
     # ablation switches
     no_gaussian_bias: bool = False
     no_gnn_branch: bool = False
+
+    def __post_init__(self):
+        if self.n_layers < 1 or self.n_heads < 1:
+            raise ValueError("n_layers and n_heads must be >= 1")
+        if self.d % 2 or self.d % self.n_heads:
+            raise ValueError("d must be even and divisible by n_heads")
+        if self.pe_dim > self.d:
+            raise ValueError("pe_dim must not exceed d")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
 
 
 @dataclass
@@ -150,9 +160,16 @@ def batch_subgraphs(subs: list[SampledSubgraph]) -> BatchedSubgraphs:
     seeds = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
     slots = np.arange(sizes.max())
     index = np.where(slots < sizes[:, None], seeds[:, None] + slots, PAD)
-    sum_agg = block_diag(*[s.sum_agg for s in subs])
-    deg = sum_agg.sum(axis=1, keepdims=True)
-    mean_agg = np.divide(sum_agg, deg, out=np.zeros_like(sum_agg), where=deg > 0)
+    # one scatter of the offset local edges into each aggregation matrix
+    adjacency = [nbrs for s in subs for nbrs in s.local_adjacency]
+    deg = np.array([len(nbrs) for nbrs in adjacency], dtype=np.intp)
+    rows = np.repeat(np.arange(len(adjacency)), deg)
+    cols = np.repeat(np.repeat(seeds, sizes), deg) + np.fromiter(
+        chain.from_iterable(adjacency), dtype=np.intp, count=int(deg.sum()))
+    sum_agg = np.zeros((len(adjacency), len(adjacency)))
+    sum_agg[rows, cols] = 1.0
+    mean_agg = np.zeros_like(sum_agg)
+    mean_agg[rows, cols] = 1.0 / deg[rows]
     return BatchedSubgraphs(
         nodes=np.concatenate([s.nodes for s in subs]),
         hop=np.concatenate([s.hop for s in subs]),

@@ -552,7 +552,8 @@ def save_checkpoint(params: dict[str, Parameter], path: str) -> None:
 def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
     with open(path + ".json") as fh:
         manifest = json.load(fh)
-    blob = open(path + ".bin", "rb").read()
+    with open(path + ".bin", "rb") as fh:
+        blob = fh.read()
     by_name = {e["name"]: e for e in manifest}
     for name, p in params.items():
         entry = by_name[name]

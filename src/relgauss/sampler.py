@@ -11,7 +11,6 @@ global node id so sampling is fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,23 +42,6 @@ class SampledSubgraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @cached_property
-    def sum_agg(self) -> np.ndarray:
-        """Binary adjacency matrix over local ids (neighbor-sum operator)."""
-        n = len(self.local_adjacency)
-        agg = np.zeros((n, n))
-        for i, nbrs in enumerate(self.local_adjacency):
-            agg[i, nbrs] = 1.0
-        return agg
-
-    @cached_property
-    def mean_agg(self) -> np.ndarray:
-        """Row-normalized adjacency; rows without neighbors stay zero."""
-        agg = self.sum_agg.copy()
-        deg = agg.sum(axis=1, keepdims=True)
-        np.divide(agg, deg, out=agg, where=deg > 0)
-        return agg
-
 
 def structural_sample(graph: RelGraph, seed: int, seed_time: float,
                       config: SamplingConfig, budget: int | None = ...,
@@ -89,33 +71,23 @@ def structural_sample(graph: RelGraph, seed: int, seed_time: float,
     return out
 
 
-def semantic_similarity(h_v: np.ndarray, h_u: np.ndarray) -> float:
-    h_v = np.asarray(h_v, dtype=np.float64)
-    h_u = np.asarray(h_u, dtype=np.float64)
-    if h_v.shape != h_u.shape:
-        raise ValueError(f"dimension mismatch: {h_v.shape} vs {h_u.shape}")
-    return float(h_v @ h_u)
-
-
-def _embed_fn(embeddings):
-    if callable(embeddings):
-        return embeddings
-    return embeddings.__getitem__
-
-
 def semantic_refine(graph: RelGraph, seed: int, seed_time: float,
                     candidates: list[tuple[int, int]], embeddings,
                     config: SamplingConfig) -> SampledSubgraph:
-    """Top-k refinement of 2-hop (and deeper) candidates; 1-hop always kept."""
-    embed = _embed_fn(embeddings)
+    """Top-k refinement of 2-hop (and deeper) candidates; 1-hop always kept.
+
+    ``embeddings`` maps an int array of nodes to their (k, d) embeddings;
+    the seed and every deep candidate are embedded in one call.
+    """
     kept = [(n, h) for n, h in candidates if h <= 1]
     deep = [(n, h) for n, h in candidates if h > 1]
     room = config.stage2_keep - len(kept)
     if deep and room > 0:
-        h_seed = np.asarray(embed(seed), dtype=np.float64)
-        scored = sorted(deep, key=lambda nh: (-semantic_similarity(h_seed, embed(nh[0])),
-                                              nh[0]))
-        kept.extend(scored[:room])
+        ids = np.array([n for n, _ in deep], dtype=np.int64)
+        E = embeddings(np.concatenate([[seed], ids]))
+        sims = E[1:] @ E[0]
+        order = np.lexsort((ids, -sims))  # similarity descending, then id
+        kept.extend(deep[i] for i in order[:room])
     return _finalize(graph, seed, seed_time, kept)
 
 

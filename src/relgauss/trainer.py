@@ -16,7 +16,7 @@ from .sampler import SampledSubgraph, SamplingConfig, sample
 
 
 class NumericAbort(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or a gradient stops being finite."""
 
 
 @dataclass
@@ -41,9 +41,9 @@ class TrainConfig:
     val_stride: int = 1
 
     def __post_init__(self):
-        for name in ("lr", "weight_decay", "batch_size", "epochs",
-                     "max_steps_per_epoch", "warmup_steps", "val_stride"):
-            if getattr(self, name) <= 0 and name not in ("weight_decay",):
+        for name in ("lr", "batch_size", "epochs", "max_steps_per_epoch",
+                     "warmup_steps", "micro_batch", "val_stride"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -120,18 +120,21 @@ class EmbeddingCache:
         self.model = model
         self.graph = graph
         self.tables = tables
-        self._memo: dict[int, np.ndarray] = {}
+        self._rows = np.zeros((graph.n_nodes, model.config.d))
+        self._have = np.zeros(graph.n_nodes, dtype=bool)
 
     def refresh(self) -> None:
-        self._memo.clear()
+        self._have[:] = False
 
-    def __call__(self, node: int) -> np.ndarray:
-        node = int(node)
-        hit = self._memo.get(node)
-        if hit is None:
-            hit = self.model.encoders.node_embedding(node, self.graph, self.tables)
-            self._memo[node] = hit
-        return hit
+    def __call__(self, nodes: np.ndarray) -> np.ndarray:
+        """(k, d) embeddings of the nodes; the misses are encoded in one call."""
+        nodes = np.asarray(nodes, dtype=np.intp)
+        miss = np.unique(nodes[~self._have[nodes]])
+        if len(miss):
+            self._rows[miss] = self.model.encoders.node_embedding(
+                miss, self.graph, self.tables)
+            self._have[miss] = True
+        return self._rows[nodes]
 
 
 @dataclass
@@ -239,6 +242,8 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
             if not np.isfinite(value):
                 raise NumericAbort(f"non-finite loss at epoch {epoch} step {step}")
             nc.backward(batch_loss)
+            if not all(np.isfinite(p.grad).all() for p in params.values()):
+                raise NumericAbort(f"non-finite gradient at epoch {epoch} step {step}")
             global_step += 1
             lr = config.lr * min(1.0, global_step / config.warmup_steps)
             adam_step(params, state, lr, config.weight_decay, lr_mult)

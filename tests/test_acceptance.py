@@ -281,9 +281,9 @@ def test_whole_model_gradient_matches_finite_differences(four_node_setup):
     schema, tables, graph = four_node_setup
     model = GelModel(ModelConfig(d=16, n_layers=1, n_heads=2, pe_dim=4,
                                  dropout=0.0), schema, tables)
-    embed = {n: model.encoders.node_embedding(n, graph, tables)
-             for n in range(graph.n_nodes)}
-    sub = sample(graph, 0, float(graph.node_time[0]), embed, SamplingConfig())
+    embed = model.encoders.node_embedding(np.arange(graph.n_nodes), graph, tables)
+    sub = sample(graph, 0, float(graph.node_time[0]), embed.__getitem__,
+                 SamplingConfig())
     assert sub.n_nodes == 4  # seed + its three events
 
     def loss_value() -> float:

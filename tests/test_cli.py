@@ -179,6 +179,18 @@ def test_train_unknown_config_section_field(gen_dir, tmp_path, capsys):
     assert "learning_rate" in err
 
 
+@pytest.mark.parametrize("raw, field", [({"train": {"micro_batch": 0}}, "micro_batch"),
+                                        ({"model": {"d": 30, "n_heads": 4}}, "n_heads")])
+def test_train_invalid_config_value_exits_2(gen_dir, tmp_path, capsys, raw, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "train", "--data", str(gen_dir), "--config",
+                       str(cfg), "--out", str(tmp_path / "r"), "--quiet")
+    assert code == EXIT_CONFIG
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
 def test_eval_from_checkpoint(trained, gen_dir, capsys):
     out, cfg = trained
     code, text, _ = run(capsys, "eval", "--data", str(gen_dir), "--config",

@@ -7,6 +7,7 @@ from relgauss import numcore as nc
 from relgauss.encoders import (Affine, EncoderConfig, EncoderSuite,
                                HopEncoder, PositionalEncoder, TabularEncoder,
                                TimeEncoder, TypeEncoder, positional_init)
+from relgauss.model import batch_subgraphs
 from relgauss.numcore import Tensor
 from relgauss.relstore import build_graph, load_schema, load_tables
 from relgauss.sampler import SamplingConfig, sample
@@ -172,10 +173,11 @@ def test_affine_shapes(rng):
 def test_encoder_suite_shapes_and_determinism(tiny_db):
     schema, tables, graph = tiny_db
     suite = EncoderSuite(CFG, schema, tables, np.random.default_rng(1))
-    emb = {n: suite.node_embedding(n, graph, tables) for n in range(graph.n_nodes)}
-    sub = sample(graph, 0, float(graph.node_time[0]), emb, SamplingConfig())
-    H1 = suite.encode_subgraph(sub, graph, tables, run_seed=0)
-    H2 = suite.encode_subgraph(sub, graph, tables, run_seed=0)
+    emb = suite.node_embedding(np.arange(graph.n_nodes), graph, tables)
+    sub = sample(graph, 0, float(graph.node_time[0]), emb.__getitem__, SamplingConfig())
+    batch = batch_subgraphs([sub])
+    H1 = suite.encode_subgraph(batch, graph, tables, run_seed=0)
+    H2 = suite.encode_subgraph(batch, graph, tables, run_seed=0)
     assert H1.shape == (sub.n_nodes, 16)
     np.testing.assert_array_equal(H1.data, H2.data)
     assert np.all(np.isfinite(H1.data))
@@ -184,11 +186,11 @@ def test_encoder_suite_shapes_and_determinism(tiny_db):
 def test_encoder_suite_gradients_flow(tiny_db):
     schema, tables, graph = tiny_db
     suite = EncoderSuite(CFG, schema, tables, np.random.default_rng(2))
-    emb = {n: suite.node_embedding(n, graph, tables) for n in range(graph.n_nodes)}
-    sub = sample(graph, 0, float(graph.node_time[0]), emb, SamplingConfig())
+    emb = suite.node_embedding(np.arange(graph.n_nodes), graph, tables)
+    sub = sample(graph, 0, float(graph.node_time[0]), emb.__getitem__, SamplingConfig())
     params = suite.parameters()
     nc.zero_grad(params)
-    H = suite.encode_subgraph(sub, graph, tables, run_seed=0)
+    H = suite.encode_subgraph(batch_subgraphs([sub]), graph, tables, run_seed=0)
     nc.backward((H ** 2).sum())
     touched = sum(1 for p in params if np.abs(p.grad).max() > 0)
     assert touched > len(params) * 0.5
@@ -197,8 +199,8 @@ def test_encoder_suite_gradients_flow(tiny_db):
 def test_node_embedding_no_grad(tiny_db):
     schema, tables, graph = tiny_db
     suite = EncoderSuite(CFG, schema, tables, np.random.default_rng(3))
-    v = suite.node_embedding(0, graph, tables)
-    assert v.shape == (16,)
+    v = suite.node_embedding(np.array([0, 3]), graph, tables)
+    assert v.shape == (2, 16)
     assert np.all(np.isfinite(v))
 
 

@@ -57,10 +57,19 @@ def make_model(tiny_db, **over):
 
 def subgraphs_for(tiny_db, model):
     schema, tables, graph = tiny_db
-    emb = {n: model.encoders.node_embedding(n, graph, tables)
-           for n in range(graph.n_nodes)}
-    return [sample(graph, s, float(graph.node_time[s]), emb, SamplingConfig())
+    emb = model.encoders.node_embedding(np.arange(graph.n_nodes), graph, tables)
+    return [sample(graph, s, float(graph.node_time[s]), emb.__getitem__,
+                   SamplingConfig())
             for s in range(3)]
+
+
+@pytest.mark.parametrize("bad", [dict(d=30, n_heads=4), dict(d=15, n_heads=1),
+                                 dict(pe_dim=32, d=16), dict(n_layers=0),
+                                 dict(n_heads=0), dict(dropout=1.0),
+                                 dict(dropout=-0.1)])
+def test_model_config_validation(bad):
+    with pytest.raises(ValueError):
+        ModelConfig(**{**CFG, **bad})
 
 
 def test_fuse_convex_combination():

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +283,17 @@ def test_checkpoint_roundtrip(tmp_path):
     for k, p in params.items():
         np.testing.assert_array_equal(p.data, originals[k])
     assert not nc.checkpoint_exists(str(tmp_path / "missing"))
+
+
+def test_load_checkpoint_closes_its_files(tmp_path):
+    params = {"w": Parameter(np.arange(3.0), "w")}
+    path = str(tmp_path / "ckpt")
+    nc.save_checkpoint(params, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        nc.load_checkpoint(params, path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_finite_diff_grad_on_quadratic():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from relgauss.model import batch_subgraphs
 from relgauss.relstore import RelGraph
-from relgauss.sampler import (SampledSubgraph, SamplingConfig, sample,
-                              semantic_refine, semantic_similarity,
+from relgauss.sampler import (SamplingConfig, sample, semantic_refine,
                               structural_sample, subgraph_to_dict)
 
 
@@ -19,6 +19,9 @@ def make_graph(n, edges, times):
                     node_table=["t"], node_row=np.arange(n),
                     node_offset={"t": 0}, edge_types=["e", "e_rev"],
                     adjacency={"e": adj, "e_rev": adj}, merged_adjacency=adj)
+
+
+ZERO_EMB = np.zeros((9, 1)).__getitem__
 
 
 @pytest.fixture
@@ -77,17 +80,11 @@ def test_seed_with_invalid_neighbor_times():
     assert [n for n, _ in out] == [0, 1]
 
 
-def test_semantic_similarity_is_dot_product():
-    assert semantic_similarity([1.0, 2.0], [3.0, -1.0]) == 1.0
-    with pytest.raises(ValueError, match="mismatch"):
-        semantic_similarity([1.0], [1.0, 2.0])
-
-
 def test_semantic_refine_keeps_seed_and_all_one_hop(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
-    emb = {n: np.array([float(n)]) for n in range(9)}
+    emb = np.arange(9.0)[:, None]
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=5)
-    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb, cfg)
+    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb.__getitem__, cfg)
     kept = set(sub.nodes.tolist())
     assert {0, 1, 2, 3} <= kept
     assert sub.n_nodes == 5
@@ -96,18 +93,18 @@ def test_semantic_refine_keeps_seed_and_all_one_hop(star_graph):
 def test_semantic_refine_ranks_two_hop_by_similarity_desc(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
     # seed embedding [1]; similarity of node n is 1+n, so 8 then 7 win
-    emb = {n: np.array([1.0 + n]) for n in range(9)}
+    emb = 1.0 + np.arange(9.0)[:, None]
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=6)
-    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb, cfg)
+    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb.__getitem__, cfg)
     two_hop = sorted(sub.nodes[sub.hop == 2].tolist())
     assert two_hop == [7, 8]
 
 
 def test_semantic_refine_tie_breaks_by_ascending_id(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
-    emb = {n: np.array([1.0]) for n in range(9)}  # all equally similar
+    emb = np.ones((9, 1))  # all equally similar
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=6)
-    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb, cfg)
+    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb.__getitem__, cfg)
     assert sorted(sub.nodes[sub.hop == 2].tolist()) == [5, 6]
 
 
@@ -115,13 +112,12 @@ def test_refine_accepts_callable_embeddings(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
     cfg = SamplingConfig(stage2_keep=6)
     sub = semantic_refine(star_graph, 0, 100.0, candidates,
-                          lambda n: np.array([1.0 + n]), cfg)
+                          lambda nodes: 1.0 + nodes[:, None], cfg)
     assert sorted(sub.nodes[sub.hop == 2].tolist()) == [7, 8]
 
 
 def test_subgraph_layout_and_delta_t(star_graph):
-    sub = sample(star_graph, 0, 100.0, {n: np.zeros(1) for n in range(9)},
-                 SamplingConfig())
+    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
     assert sub.nodes[0] == 0 and sub.hop[0] == 0
     assert sub.delta_t[0] == 0.0
     # nodes ordered by (hop, id) after the seed
@@ -132,8 +128,7 @@ def test_subgraph_layout_and_delta_t(star_graph):
 
 
 def test_local_adjacency_is_induced_subgraph(star_graph):
-    sub = sample(star_graph, 0, 100.0, {n: np.zeros(1) for n in range(9)},
-                 SamplingConfig())
+    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
     index = {n: i for i, n in enumerate(sub.nodes.tolist())}
     for n, local in zip(sub.nodes.tolist(), sub.local_adjacency):
         expect = sorted(index[v] for v in star_graph.merged_adjacency[n]
@@ -142,16 +137,16 @@ def test_local_adjacency_is_induced_subgraph(star_graph):
 
 
 def test_agg_matrices(star_graph):
-    sub = sample(star_graph, 0, 100.0, {n: np.zeros(1) for n in range(9)},
-                 SamplingConfig())
-    assert np.array_equal(sub.sum_agg, sub.sum_agg.T)
-    rowsum = sub.mean_agg.sum(axis=1)
+    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
+    batch = batch_subgraphs([sub])
+    assert np.array_equal(batch.sum_agg, batch.sum_agg.T)
+    rowsum = batch.mean_agg.sum(axis=1)
     for i, nbrs in enumerate(sub.local_adjacency):
         assert rowsum[i] == pytest.approx(1.0 if nbrs else 0.0)
 
 
 def test_skip_refinement_keeps_all_candidates(star_graph):
-    sub = sample(star_graph, 0, 100.0, {}, SamplingConfig(stage2_keep=5),
+    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig(stage2_keep=5),
                  skip_refinement=True)
     assert sub.n_nodes == 8  # full stage-1 set, ignoring stage2_keep
 
@@ -160,7 +155,7 @@ def test_random_stage1_draws_from_valid_set(star_graph):
     rng = np.random.default_rng(0)
     seen = set()
     for _ in range(30):
-        sub = sample(star_graph, 0, 100.0, {n: np.zeros(1) for n in range(9)},
+        sub = sample(star_graph, 0, 100.0, ZERO_EMB,
                      SamplingConfig(stage1_budget=4, stage2_keep=4),
                      random_stage1_rng=rng)
         assert sub.nodes[0] == 0 and sub.n_nodes == 4
@@ -173,7 +168,7 @@ def test_random_stage1_draws_from_valid_set(star_graph):
 
 
 def test_deterministic_given_same_inputs(star_graph):
-    emb = {n: np.array([float(n % 3)]) for n in range(9)}
+    emb = (np.arange(9.0) % 3)[:, None].__getitem__
     a = sample(star_graph, 0, 100.0, emb, SamplingConfig(stage2_keep=6))
     b = sample(star_graph, 0, 100.0, emb, SamplingConfig(stage2_keep=6))
     np.testing.assert_array_equal(a.nodes, b.nodes)
@@ -182,8 +177,7 @@ def test_deterministic_given_same_inputs(star_graph):
 
 
 def test_subgraph_to_dict_roundtrip(star_graph):
-    sub = sample(star_graph, 0, 100.0, {n: np.zeros(1) for n in range(9)},
-                 SamplingConfig())
+    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
     d = subgraph_to_dict(sub)
     assert d["nodes"][0] == 0 and d["seed_time"] == 100.0
     for i, j in d["edges"]:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from relgauss import numcore as nc
+from relgauss import trainer
 from relgauss.model import AblationFlags, GelModel, ModelConfig
 from relgauss.numcore import Parameter
 from relgauss.relstore import build_graph, load_schema, load_tables
-from relgauss.sampler import SamplingConfig
+from relgauss.sampler import SamplingConfig, sample, structural_sample
 from relgauss.synthgen import SynthConfig, temporal_split, write_db
 from relgauss.trainer import (AdamState, EmbeddingCache, NumericAbort,
                               TrainConfig, adam_step, auc, mae, predict_rows,
@@ -175,16 +177,103 @@ def test_predict_rows_matches_test_scores(small_setup):
     np.testing.assert_array_equal(rescored, res.test_scores)
 
 
-def test_embedding_cache_memoizes_and_refreshes(small_setup):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in backward
+def test_non_finite_gradient_raises_numeric_abort(small_setup, monkeypatch):
+    schema, tables, graph, splits = small_setup
+    model = GelModel(MCFG, schema, tables)
+    gelu = nc.gelu
+
+    def gelu_with_inf_backward(x):
+        out = gelu(x)
+        backward = out._backward
+        if backward is not None:
+            out._backward = lambda g: backward(np.full_like(g, np.inf))
+        return out
+
+    monkeypatch.setattr(nc, "gelu", gelu_with_inf_backward)
+    with pytest.raises(NumericAbort, match="gradient"):
+        train(model, graph, schema, tables, splits, TCFG, SCFG)
+
+
+def test_embedding_cache_memoizes_and_refreshes(small_setup, monkeypatch):
     schema, tables, graph, splits = small_setup
     model = GelModel(MCFG, schema, tables)
     cache = EmbeddingCache(model, graph, tables)
-    v1 = cache(0)
-    assert cache(0) is v1  # memo hit returns the same array
+    node_embedding = model.encoders.node_embedding
+    calls = []
+
+    def counted(nodes, *args):
+        calls.append(nodes.tolist())
+        return node_embedding(nodes, *args)
+
+    monkeypatch.setattr(model.encoders, "node_embedding", counted)
+    v1 = cache(np.array([3, 0]))
+    assert v1.shape == (2, MCFG.d) and calls == [[0, 3]]
+    hit = cache(np.array([0, 3, 0]))
+    assert len(calls) == 1  # a hit encodes nothing
+    np.testing.assert_array_equal(hit, v1[[1, 0, 1]])
+    cache(np.array([0, 5, 5]))
+    assert calls[-1] == [5]  # only the miss is encoded, once
+    # after refresh() the values come from the current weights
+    model.encoders.tab_enc.blocks[0][2].b.data += 1.0
     cache.refresh()
-    v2 = cache(0)
-    assert v2 is not v1
-    np.testing.assert_array_equal(v1, v2)
+    v2 = cache(np.array([3, 0]))
+    assert calls[-1] == [0, 3]
+    np.testing.assert_array_equal(v2, node_embedding(np.array([3, 0]), graph, tables))
+    assert not np.array_equal(v2, v1)
+
+
+def test_eval_scores_do_not_depend_on_micro_batch(small_setup, monkeypatch):
+    schema, tables, graph, splits = small_setup
+    model = GelModel(MCFG, schema, tables)
+    embed = EmbeddingCache(model, graph, tables)
+    sampled = []
+
+    def recording_sample(*args, **kwargs):
+        sub = sample(*args, **kwargs)
+        sampled[-1].append(sub.nodes.tolist())
+        return sub
+
+    monkeypatch.setattr(trainer, "sample", recording_sample)
+    scores = []
+    for mb in (1, 3, 8):
+        embed.refresh()
+        sampled.append([])
+        scores.append(predict_rows(model, graph, schema, tables, splits[2], embed,
+                                   SCFG, AblationFlags(), 0, micro_batch=mb))
+    for other, nodes in zip(scores[1:], sampled[1:]):
+        np.testing.assert_allclose(other, scores[0], rtol=0, atol=1e-12)
+        assert nodes == sampled[0]
+
+
+def test_batched_refinement_matches_scalar_definition(small_setup):
+    schema, tables, graph, splits = small_setup
+    model = GelModel(MCFG, schema, tables)
+    embed = EmbeddingCache(model, graph, tables)
+    # 3 hops so that most rows have more deep candidates than room for them
+    cfg = SamplingConfig(max_hop=3, stage1_budget=100, stage2_keep=40)
+
+    def scalar_embedding(node):
+        with nc.no_grad():
+            return model.encoders.tab_enc.encode_rows(
+                graph.node_table[graph.node_type[node]],
+                np.array([graph.node_row[node]]), tables).data[0]
+
+    target = tables.tables[schema.task.target_table]
+    cut = 0
+    for row in range(target.n_rows):
+        node = graph.node_id(schema.task.target_table, row)
+        seed_time = float(target.timestamps[schema.task.seed_time_column][row])
+        candidates = structural_sample(graph, node, seed_time, cfg)
+        near = {n for n, h in candidates if h <= 1}
+        deep = [n for n, h in candidates if h > 1]
+        h_seed = scalar_embedding(node)
+        ranked = sorted(deep, key=lambda u: (-float(h_seed @ scalar_embedding(u)), u))
+        room = max(cfg.stage2_keep - len(near), 0)
+        sub = sample(graph, node, seed_time, embed, cfg)
+        assert set(sub.nodes.tolist()) == near | set(ranked[:room])
+        cut += 0 < room < len(deep)
+    assert cut > target.n_rows // 2  # the ranking decided most subgraphs
 
 
 def test_train_config_validation():
@@ -192,6 +281,8 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="micro_batch"):
+        TrainConfig(micro_batch=0)
     TrainConfig(weight_decay=0.0)  # zero decay is allowed
 
 
