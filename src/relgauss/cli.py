@@ -1,8 +1,8 @@
 """Command-line surface: data generation, ingestion, sampling, training,
 evaluation, theorem verification and ablation sweeps.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numeric abort during training.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(also a bad schema, table or checkpoint), 3 numeric abort during training.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def cmd_gen(args) -> int:
 
 def cmd_ingest(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
-    n_edges = sum(len(nbrs) for adj in graph.adjacency.values() for nbrs in adj) // 2
+    n_edges = sum(len(adj.indices) for adj in graph.adjacency.values()) // 2
     print(json.dumps({
         "tables": {t: tables.tables[t].n_rows for t in schema.table_names()},
         "n_nodes": graph.n_nodes,
@@ -305,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SchemaError, TableDataError) as exc:
+    except (ConfigError, SchemaError, TableDataError, nc.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericAbort as exc:

@@ -541,7 +541,7 @@ def save_checkpoint(params: dict[str, Parameter], path: str) -> None:
     offset = 0
     with open(path + ".bin", "wb") as blob:
         for name, p in params.items():
-            arr = np.ascontiguousarray(p.data, dtype="<f8")
+            arr = np.asarray(p.data, dtype="<f8")  # tobytes() writes C order
             manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
             blob.write(arr.tobytes())
             offset += arr.nbytes
@@ -549,18 +549,40 @@ def save_checkpoint(params: dict[str, Parameter], path: str) -> None:
         json.dump(manifest, fh, indent=1)
 
 
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be read into the given parameters."""
+
+
 def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
-    with open(path + ".json") as fh:
-        manifest = json.load(fh)
-    with open(path + ".bin", "rb") as fh:
-        blob = fh.read()
-    by_name = {e["name"]: e for e in manifest}
+    """Read every parameter from ``path``; nothing is assigned unless all fit."""
+    try:
+        with open(path + ".json") as fh:
+            manifest = json.load(fh)
+        with open(path + ".bin", "rb") as fh:
+            blob = fh.read()
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    try:
+        by_name = {e["name"]: (tuple(int(n) for n in e["shape"]), int(e["offset"]))
+                   for e in manifest}
+    except (TypeError, KeyError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint manifest {path}.json: {exc!r}") from exc
+    arrays = {}
     for name, p in params.items():
-        entry = by_name[name]
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
-        p.data = arr.reshape(shape).astype(np.float64).copy()
+        if name not in by_name:
+            raise CheckpointError(f"checkpoint {path} has no parameter {name!r}")
+        shape, offset = by_name[name]
+        # earlier writers recorded a 0-d parameter as shape (1,)
+        if shape != p.data.shape and not (shape == (1,) and p.data.shape == ()):
+            raise CheckpointError(f"checkpoint {path}: {name!r} has shape {shape}, "
+                                  f"the model has {p.data.shape}")
+        end = offset + 8 * p.data.size
+        if offset < 0 or end > len(blob):
+            raise CheckpointError(f"checkpoint {path}: {name!r} needs bytes "
+                                  f"[{offset}, {end}) of a {len(blob)}-byte blob")
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
+    for name, p in params.items():
+        p.data = arrays[name].reshape(p.data.shape).astype(np.float64)
 
 
 def checkpoint_exists(path: str) -> bool:

@@ -203,6 +203,62 @@ def load_tables(schema: DatabaseSchema, directory: str) -> TableData:
     return TableData(tables=out)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: a sort and one neighbour comparison.
+
+    ``np.unique`` takes a hash path for integers that costs several times
+    more, on the small frontiers of the sampler as on whole edge lists.
+    """
+    out = np.array(values)
+    out.sort()
+    keep = np.empty(len(out), dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+@dataclass(frozen=True, eq=False)
+class CsrAdjacency:
+    """Per-node neighbour ids in compressed sparse row form.
+
+    The neighbours of node ``u`` are ``indices[indptr[u]:indptr[u + 1]]``,
+    ascending and without repeats.
+    """
+    indptr: np.ndarray   # int64, (n_nodes + 1,)
+    indices: np.ndarray  # int64, (n_pairs,)
+
+    @classmethod
+    def from_pairs(cls, src: np.ndarray, dst: np.ndarray, n_nodes: int) -> CsrAdjacency:
+        """Adjacency of the directed pairs ``src[i] -> dst[i]``, each kept once."""
+        keys = sorted_unique(np.asarray(src, dtype=np.int64) * n_nodes
+                             + np.asarray(dst, dtype=np.int64))
+        rows = keys // n_nodes
+        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+        return cls(indptr=indptr, indices=keys - rows * n_nodes)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, node: int) -> np.ndarray:
+        return self.indices[self.indptr[node]:self.indptr[node + 1]]
+
+    def __iter__(self):
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield self.indices[lo:hi]
+
+    def gather(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbours of ``nodes`` concatenated in order, and their counts."""
+        starts, stops = self.indptr[nodes], self.indptr[1:][nodes]
+        counts = stops - starts
+        ends = counts.cumsum()
+        # output position k, in node i's run [ends[i] - counts[i], ends[i]),
+        # reads indices[stops[i] - ends[i] + k]
+        idx = (stops - ends).repeat(counts) + np.arange(ends[-1] if len(ends) else 0)
+        return self.indices[idx], counts
+
+
 @dataclass
 class RelGraph:
     """Immutable heterogeneous temporal graph over table rows."""
@@ -213,8 +269,8 @@ class RelGraph:
     node_row: np.ndarray                  # row index within source table
     node_offset: dict[str, int]           # table -> first global node id
     edge_types: list[str]                 # paired: fwd at 2k, rev at 2k+1
-    adjacency: dict[str, list[list[int]]]  # edge type -> per-node sorted neighbor ids
-    merged_adjacency: list[list[int]]     # all edge types union, sorted
+    adjacency: dict[str, CsrAdjacency]    # edge type -> neighbours per node
+    merged_adjacency: CsrAdjacency        # union over all edge types
     dangling_fk_count: int = 0
 
     def node_id(self, table: str, row: int) -> int:
@@ -258,8 +314,9 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
             node_time[lo:lo + tc.n_rows] = seed_ts
 
     edge_types: list[str] = []
-    adjacency: dict[str, list[list[int]]] = {}
-    merged: list[list[int]] = [[] for _ in range(total)]
+    adjacency: dict[str, CsrAdjacency] = {}
+    all_src = [np.empty(0, dtype=np.int64)]
+    all_dst = [np.empty(0, dtype=np.int64)]
     dangling = 0
     for tname, cols in schema.tables:
         tc = tables.tables[tname]
@@ -269,28 +326,22 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
             fwd = f"{tname}.{c.name}"
             rev = reverse_edge_type(fwd)
             edge_types.extend([fwd, rev])
-            adj_f: list[list[int]] = [[] for _ in range(total)]
-            adj_r: list[list[int]] = [[] for _ in range(total)]
-            target_tc = tables.tables[c.target_table]
-            src_lo = offsets[tname]
-            dst_lo = offsets[c.target_table]
-            for i, v in enumerate(tc.foreign[c.name]):
-                if v is None:
-                    continue
-                j = target_tc.pk_index.get(v)
-                if j is None:
-                    dangling += 1
-                    continue
-                u, w = src_lo + i, dst_lo + j
-                adj_f[u].append(w)
-                adj_r[w].append(u)
-                merged[u].append(w)
-                merged[w].append(u)
-            adjacency[fwd] = [sorted(x) for x in adj_f]
-            adjacency[rev] = [sorted(x) for x in adj_r]
+            values = tc.foreign[c.name]
+            pk_index = tables.tables[c.target_table].pk_index
+            # target row per cell; -1 for a null cell and for a dangling key
+            target = np.fromiter((pk_index.get(v, -1) for v in values),
+                                 dtype=np.int64, count=len(values))
+            valid = target >= 0
+            dangling += len(values) - int(valid.sum()) - values.count(None)
+            src = offsets[tname] + np.flatnonzero(valid)
+            dst = offsets[c.target_table] + target[valid]
+            adjacency[fwd] = CsrAdjacency.from_pairs(src, dst, total)
+            adjacency[rev] = CsrAdjacency.from_pairs(dst, src, total)
+            all_src += [src, dst]
+            all_dst += [dst, src]
     if dangling:
         logger.warning("dropped %d dangling foreign-key edges", dangling)
-    merged = [sorted(set(x)) for x in merged]
+    merged = CsrAdjacency.from_pairs(np.concatenate(all_src), np.concatenate(all_dst), total)
     return RelGraph(n_nodes=total, node_type=node_type, node_time=node_time,
                     node_table=node_table, node_row=node_row, node_offset=offsets,
                     edge_types=edge_types, adjacency=adjacency,
@@ -300,4 +351,4 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
 def neighbors(graph: RelGraph, node: int, edge_type: str) -> list[int]:
     if edge_type not in graph.adjacency:
         raise KeyError(f"unknown edge type {edge_type!r}")
-    return graph.adjacency[edge_type][node]
+    return graph.adjacency[edge_type][node].tolist()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relstore import RelGraph
+from .relstore import RelGraph, sorted_unique
 
 
 @dataclass
@@ -46,28 +46,30 @@ class SampledSubgraph:
 def structural_sample(graph: RelGraph, seed: int, seed_time: float,
                       config: SamplingConfig, budget: int | None = ...,
                       ) -> list[tuple[int, int]]:
-    """BFS candidates as (node, hop) pairs; seed counts against the budget."""
+    """BFS candidates as (node, hop) pairs; seed counts against the budget.
+
+    Each level takes the not yet visited neighbours of the frontier that
+    strictly predate ``seed_time``, in ascending id order, until the budget.
+    """
     if budget is ...:
         budget = config.stage1_budget
-    visited = {seed}
+    adj = graph.merged_adjacency
+    visited = np.zeros(graph.n_nodes, dtype=bool)
+    visited[seed] = True
     out = [(seed, 0)]
-    frontier = [seed]
+    nbrs = adj[seed]  # a CSR row is already sorted and unique
     for hop in range(1, config.max_hop + 1):
-        if not frontier or (budget is not None and len(out) >= budget):
+        if budget is not None and len(out) >= budget:
             break
-        level: set[int] = set()
-        for u in frontier:
-            for v in graph.merged_adjacency[u]:
-                if v not in visited and v not in level and graph.node_time[v] < seed_time:
-                    level.add(v)
-        added = []
-        for v in sorted(level):
-            if budget is not None and len(out) >= budget:
-                break
-            visited.add(v)
-            out.append((v, hop))
-            added.append(v)
-        frontier = added
+        level = nbrs[(graph.node_time[nbrs] < seed_time) & ~visited[nbrs]]
+        if budget is not None:
+            level = level[:budget - len(out)]
+        if not len(level):
+            break
+        visited[level] = True
+        out.extend((v, hop) for v in level.tolist())
+        if hop < config.max_hop:
+            nbrs = sorted_unique(adj.gather(level)[0])
     return out
 
 
@@ -99,11 +101,18 @@ def _finalize(graph: RelGraph, seed: int, seed_time: float,
     hops = np.array([h for _, h in ordered], dtype=np.int64)
     delta = seed_time - graph.node_time[nodes]
     delta[0] = 0.0
-    local_index = {n: i for i, n in enumerate(nodes)}
-    adj: list[list[int]] = []
-    for n in nodes:
-        adj.append(sorted(local_index[v] for v in graph.merged_adjacency[n]
-                          if v in local_index))
+    # induced edges: each node's graph neighbours found in the sorted node set
+    k = len(nodes)
+    by_id = np.argsort(nodes)
+    ids = nodes[by_id]
+    nbrs, counts = graph.merged_adjacency.gather(nodes)
+    pos = np.minimum(ids.searchsorted(nbrs), k - 1)
+    found = ids[pos] == nbrs
+    owner = np.repeat(np.arange(k), counts)[found]
+    keys = np.sort(owner * k + by_id[pos[found]])  # by owner, then local index
+    flat = (keys % k).tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
+    adj = [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
     return SampledSubgraph(nodes=nodes, hop=hops, delta_t=delta,
                            local_adjacency=adj, seed_time=float(seed_time))
 

@@ -1,10 +1,13 @@
+import csv
 import json
 
 import pytest
 
 from relgauss import cli
+from relgauss import numcore as nc
 from relgauss.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                           EXIT_VERIFY_FAIL, main)
+from relgauss.model import GelModel, ModelConfig
 
 
 def run(capsys, *argv):
@@ -66,7 +69,10 @@ def test_ingest_reports_graph(gen_dir, capsys):
     assert info["tables"]["entities"] == 50
     assert info["n_nodes"] == info["tables"]["entities"] + info["tables"]["events"]
     assert info["dangling_foreign_keys"] == 0
-    assert info["n_edges"] > 0
+    with open(gen_dir / "events.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fk_cells = sum(bool(r[c]) for r in rows for c in ("entity_id", "partner_id"))
+    assert info["n_edges"] == fk_cells > 0
 
 
 def test_ingest_missing_dir(tmp_path, capsys):
@@ -200,3 +206,34 @@ def test_eval_from_checkpoint(trained, gen_dir, capsys):
     info = json.loads(text)
     assert info["n_test"] > 0
     assert 0.0 <= info["auc"] <= 1.0
+
+
+def assert_one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_eval_checkpoint_of_another_width_exits_2(gen_dir, tmp_path, capsys):
+    schema, tables, _ = cli._load_dataset(str(gen_dir))
+    small = dict(TRAIN_CONFIG["model"], d=32)
+    model = GelModel(ModelConfig(**small), schema, tables)
+    nc.save_checkpoint(model.parameters(), str(tmp_path / "d32"))
+    cfg = tmp_path / "d64.json"
+    cfg.write_text(json.dumps(dict(TRAIN_CONFIG, model=dict(small, d=64))))
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--config", str(cfg),
+                       "--checkpoint", str(tmp_path / "d32"))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "shape" in err
+
+
+def test_eval_truncated_checkpoint_exits_2(trained, gen_dir, tmp_path, capsys):
+    out, cfg = trained
+    for ext in (".json", ".bin"):
+        data = (out / "r1" / f"checkpoint{ext}").read_bytes()
+        (tmp_path / f"cut{ext}").write_bytes(data[:-8] if ext == ".bin" else data)
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--config", str(cfg),
+                       "--checkpoint", str(tmp_path / "cut"))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "blob" in err

@@ -1,4 +1,5 @@
 import gc
+import json
 import warnings
 
 import numpy as np
@@ -281,8 +282,20 @@ def test_checkpoint_roundtrip(tmp_path):
         p.data = np.zeros_like(p.data)
     nc.load_checkpoint(params, path)
     for k, p in params.items():
+        assert p.data.shape == originals[k].shape
         np.testing.assert_array_equal(p.data, originals[k])
     assert not nc.checkpoint_exists(str(tmp_path / "missing"))
+
+
+def test_load_checkpoint_reads_scalar_saved_as_length_one(tmp_path):
+    # checkpoints written before 0-d shapes were kept list a scalar as [1]
+    params = {"s": Parameter(np.array(1.5), "s")}
+    path = str(tmp_path / "ckpt")
+    nc.save_checkpoint(params, path)
+    (tmp_path / "ckpt.json").write_text(json.dumps([{"name": "s", "shape": [1], "offset": 0}]))
+    params["s"].data = np.array(0.0)
+    nc.load_checkpoint(params, path)
+    assert params["s"].data.shape == () and params["s"].data == 1.5
 
 
 def test_load_checkpoint_closes_its_files(tmp_path):
@@ -294,6 +307,44 @@ def test_load_checkpoint_closes_its_files(tmp_path):
         nc.load_checkpoint(params, path)
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize("damage, match", [
+    ("rename", "no parameter 'b'"),
+    ("reshape", r"'b' has shape \(2, 2\)"),
+    ("truncate", "needs bytes"),
+])
+def test_load_checkpoint_validates_before_assigning(tmp_path, damage, match):
+    params = {"a": Parameter(np.arange(3.0), "a"),
+              "b": Parameter(np.arange(9.0).reshape(3, 3), "b")}
+    path = str(tmp_path / "ckpt")
+    nc.save_checkpoint(params, path)
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    if damage == "rename":
+        manifest[1]["name"] = "c"
+    elif damage == "reshape":
+        manifest[1]["shape"] = [2, 2]
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    if damage == "truncate":
+        blob = tmp_path / "ckpt.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+    for p in params.values():
+        p.data = np.zeros_like(p.data)
+    zeros = {k: p.data for k, p in params.items()}
+    with pytest.raises(nc.CheckpointError, match=match):
+        nc.load_checkpoint(params, path)
+    # "a" reads fine but is assigned only once every parameter fits
+    assert all(params[k].data is zeros[k] for k in params)
+
+
+def test_load_checkpoint_unreadable_files(tmp_path):
+    params = {"a": Parameter(np.arange(3.0), "a")}
+    with pytest.raises(nc.CheckpointError, match="cannot read"):
+        nc.load_checkpoint(params, str(tmp_path / "missing"))
+    nc.save_checkpoint(params, str(tmp_path / "ckpt"))
+    (tmp_path / "ckpt.json").write_text("{not json")
+    with pytest.raises(nc.CheckpointError, match="cannot read"):
+        nc.load_checkpoint(params, str(tmp_path / "ckpt"))
 
 
 def test_finite_diff_grad_on_quadratic():

@@ -1,11 +1,14 @@
+import copy
 import json
 import logging
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from relgauss import relstore
+from relgauss.synthgen import SynthConfig, generate_db
 from relgauss.relstore import (SchemaError, TableDataError, build_graph,
                                load_schema, load_tables, neighbors,
                                reverse_edge_type)
@@ -210,8 +213,8 @@ def test_graph_bidirectional_typed_edges(db):
     # u1 (node 0) owns orders o1 (3) and o2 (4)
     assert neighbors(graph, 0, "orders.user_id_rev") == [3, 4]
     assert neighbors(graph, 3, "orders.user_id") == [0]
-    assert graph.merged_adjacency[0] == [3, 4]
-    assert graph.merged_adjacency[4] == [0]
+    assert graph.merged_adjacency[0].tolist() == [3, 4]
+    assert graph.merged_adjacency[4].tolist() == [0]
 
 
 def test_graph_node_times(db):
@@ -249,7 +252,7 @@ def test_dangling_foreign_key_dropped_with_warning(db, caplog):
     assert "dangling" in caplog.text
     # the dangling row still exists as a node, just without that edge
     assert graph.n_nodes == 5
-    assert graph.merged_adjacency[3] == []
+    assert graph.merged_adjacency[3].tolist() == []
 
 
 def test_null_foreign_key_creates_no_edge(db):
@@ -257,7 +260,7 @@ def test_null_foreign_key_creates_no_edge(db):
         "order_id,user_id,placed,amount\no1,,500,1.0\n")
     schema, tables, graph = load_all(db)
     assert graph.dangling_fk_count == 0
-    assert graph.merged_adjacency[3] == []
+    assert graph.merged_adjacency[3].tolist() == []
 
 
 def test_neighbors_unknown_edge_type(db):
@@ -275,4 +278,108 @@ def test_adjacency_sorted_ascending(db):
     schema, tables, graph = load_all(db)
     for adj in graph.adjacency.values():
         for nbrs in adj:
-            assert nbrs == sorted(nbrs)
+            assert nbrs.tolist() == sorted(nbrs.tolist())
+
+
+# -- equivalence with a brute-force graph -----------------------------------
+
+
+def reference_graph(schema, tables):
+    """Adjacency as dicts of sets, built cell by cell from the FK columns."""
+    offsets, total = {}, 0
+    for tname, _ in schema.tables:
+        offsets[tname] = total
+        total += tables.tables[tname].n_rows
+    typed, merged, dangling = {}, defaultdict(set), 0
+    for tname, cols in schema.tables:
+        for c in cols:
+            if c.kind != "foreign_key":
+                continue
+            fwd, rev = defaultdict(set), defaultdict(set)
+            target = tables.tables[c.target_table]
+            for i, v in enumerate(tables.tables[tname].foreign[c.name]):
+                if v is None:
+                    continue
+                if v not in target.pk_index:
+                    dangling += 1
+                    continue
+                u = offsets[tname] + i
+                w = offsets[c.target_table] + target.pk_index[v]
+                fwd[u].add(w)
+                rev[w].add(u)
+                merged[u].add(w)
+                merged[w].add(u)
+            typed[f"{tname}.{c.name}"] = fwd
+            typed[f"{tname}.{c.name}_rev"] = rev
+    return total, typed, merged, dangling
+
+
+def assert_graph_matches_reference(schema, tables):
+    graph = build_graph(schema, tables)
+    total, typed, merged, dangling = reference_graph(schema, tables)
+    assert graph.n_nodes == total
+    assert graph.edge_types == list(typed)
+    for edge_type, ref in typed.items():
+        adj = graph.adjacency[edge_type]
+        assert len(adj) == total
+        assert [a.tolist() for a in adj] == [sorted(ref[u]) for u in range(total)]
+    assert len(graph.merged_adjacency) == total
+    assert [a.tolist() for a in graph.merged_adjacency] == \
+        [sorted(merged[u]) for u in range(total)]
+    assert graph.dangling_fk_count == dangling
+    return graph
+
+
+def test_graph_matches_reference_with_null_and_dangling_keys(db):
+    (db / "orders.csv").write_text(
+        "order_id,user_id,placed,amount\n"
+        "o1,u1,500,1.0\no2,ghost,600,2.0\no3,,700,3.0\no4,u3,800,4.0\no5,u1,900,5.0\n")
+    schema = load_schema(str(db / "schema.json"))
+    graph = assert_graph_matches_reference(schema, load_tables(schema, str(db)))
+    assert graph.dangling_fk_count == 1
+    assert graph.merged_adjacency[0].tolist() == [3, 7]
+
+
+def test_graph_matches_reference_with_two_keys_to_one_row(tmp_path):
+    raw = copy.deepcopy(BASE_SCHEMA)
+    raw["tables"][1]["columns"].insert(
+        2, {"name": "referrer_id", "kind": "foreign_key", "target_table": "users"})
+    write_schema(tmp_path, raw)
+    (tmp_path / "users.csv").write_text(USERS_CSV)
+    (tmp_path / "orders.csv").write_text(
+        "order_id,user_id,referrer_id,placed,amount\n"
+        "o1,u1,u1,500,1.0\no2,u1,u2,600,2.0\no3,u2,,700,3.0\n")
+    schema = load_schema(str(tmp_path / "schema.json"))
+    graph = assert_graph_matches_reference(schema, load_tables(schema, str(tmp_path)))
+    # o1 (node 3) names u1 (node 0) twice: one edge of each type, one merged
+    assert graph.adjacency["orders.user_id"][3].tolist() == [0]
+    assert graph.adjacency["orders.referrer_id"][3].tolist() == [0]
+    assert graph.merged_adjacency[3].tolist() == [0]
+    assert graph.merged_adjacency[0].tolist() == [3, 4]
+
+
+def test_graph_matches_reference_without_foreign_keys(tmp_path):
+    raw = copy.deepcopy(BASE_SCHEMA)
+    raw["tables"] = raw["tables"][:1]
+    write_schema(tmp_path, raw)
+    (tmp_path / "users.csv").write_text(USERS_CSV)
+    schema = load_schema(str(tmp_path / "schema.json"))
+    graph = assert_graph_matches_reference(schema, load_tables(schema, str(tmp_path)))
+    assert graph.edge_types == [] and graph.adjacency == {}
+    assert len(graph.merged_adjacency.indices) == 0
+
+
+def test_graph_matches_reference_on_synthetic_db(tmp_path):
+    schema, tables = generate_db(SynthConfig(n_entities=80, rng_seed=4), str(tmp_path))
+    graph = assert_graph_matches_reference(schema, tables)
+    assert len(graph.merged_adjacency.indices) > 0
+
+
+def test_csr_gather_concatenates_neighbour_slices(db):
+    schema, tables, graph = load_all(db)
+    adj = graph.merged_adjacency
+    for nodes in ([0, 4, 1], [2], [5, 5], []):
+        nbrs, counts = adj.gather(np.array(nodes, dtype=np.int64))
+        expect = [adj[u].tolist() for u in nodes]
+        assert counts.tolist() == [len(e) for e in expect]
+        assert nbrs.tolist() == [v for e in expect for v in e]

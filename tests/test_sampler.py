@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from relgauss.model import batch_subgraphs
-from relgauss.relstore import RelGraph
+from relgauss.relstore import CsrAdjacency, RelGraph, build_graph
 from relgauss.sampler import (SamplingConfig, sample, semantic_refine,
                               structural_sample, subgraph_to_dict)
+from relgauss.synthgen import SynthConfig, generate_db
 
 
 def make_graph(n, edges, times):
     """Tiny single-type graph helper; edges are undirected pairs."""
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    adj = [sorted(set(x)) for x in adj]
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    adj = CsrAdjacency.from_pairs(np.r_[u, v], np.r_[v, u], n)
     return RelGraph(n_nodes=n, node_type=np.zeros(n, dtype=np.int64),
                     node_time=np.asarray(times, dtype=np.float64),
                     node_table=["t"], node_row=np.arange(n),
@@ -131,7 +129,7 @@ def test_local_adjacency_is_induced_subgraph(star_graph):
     sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
     index = {n: i for i, n in enumerate(sub.nodes.tolist())}
     for n, local in zip(sub.nodes.tolist(), sub.local_adjacency):
-        expect = sorted(index[v] for v in star_graph.merged_adjacency[n]
+        expect = sorted(index[v] for v in star_graph.merged_adjacency[n].tolist()
                         if v in index)
         assert local == expect
 
@@ -190,3 +188,102 @@ def test_config_validation():
         SamplingConfig(max_hop=0)
     with pytest.raises(ValueError):
         SamplingConfig(stage1_budget=10, stage2_keep=20)
+
+
+# -- equivalence with set-based sampling ------------------------------------
+
+
+def reference_bfs(lists, node_time, seed, seed_time, max_hop, budget):
+    """Stage 1 on plain neighbour lists, one set insertion per edge."""
+    visited = {seed}
+    out = [(seed, 0)]
+    frontier = [seed]
+    for hop in range(1, max_hop + 1):
+        if not frontier or (budget is not None and len(out) >= budget):
+            break
+        level = set()
+        for u in frontier:
+            for v in lists[u]:
+                if v not in visited and v not in level and node_time[v] < seed_time:
+                    level.add(v)
+        added = []
+        for v in sorted(level):
+            if budget is not None and len(out) >= budget:
+                break
+            visited.add(v)
+            out.append((v, hop))
+            added.append(v)
+        frontier = added
+    return out
+
+
+def reference_refine(candidates, E, seed, keep):
+    """Stage 2: 1-hop nodes, then deeper ones by (-similarity, id)."""
+    kept = [(n, h) for n, h in candidates if h <= 1]
+    deep = [(n, h) for n, h in candidates if h > 1]
+    sims = E[[n for n, _ in deep]] @ E[seed]
+    ranked = sorted(range(len(deep)), key=lambda i: (-sims[i], deep[i][0]))
+    return kept + [deep[i] for i in ranked[:max(keep - len(kept), 0)]]
+
+
+def reference_finalize(lists, node_time, seed, seed_time, kept):
+    """Induced subgraph through a dict from global to local ids."""
+    ordered = [(seed, 0)] + sorted((nh for nh in kept if nh[0] != seed),
+                                   key=lambda nh: (nh[1], nh[0]))
+    nodes = [n for n, _ in ordered]
+    local_index = {n: i for i, n in enumerate(nodes)}
+    delta = seed_time - node_time[nodes]
+    delta[0] = 0.0
+    adj = [sorted(local_index[v] for v in lists[n] if v in local_index) for n in nodes]
+    return nodes, [h for _, h in ordered], delta, adj
+
+
+@pytest.fixture(scope="module")
+def synth_graph(tmp_path_factory):
+    schema, tables = generate_db(SynthConfig(n_entities=60, rng_seed=2),
+                                 str(tmp_path_factory.mktemp("sampdb")))
+    graph = build_graph(schema, tables)
+    task = schema.task
+    seeds = [(graph.node_id(task.target_table, r), float(t)) for r, t in
+             enumerate(tables.tables[task.target_table].timestamps[task.seed_time_column])]
+    return graph, seeds
+
+
+@pytest.mark.parametrize("max_hop", [2, 3])
+@pytest.mark.parametrize("budget", [32, 300, None])
+def test_sampling_matches_set_based_reference(synth_graph, max_hop, budget):
+    graph, seeds = synth_graph
+    lists = [a.tolist() for a in graph.merged_adjacency]
+    E = np.random.default_rng(7).normal(size=(graph.n_nodes, 4))
+    # budget None: a stage-1 budget above the node count never truncates
+    cfg = SamplingConfig(max_hop=max_hop, stage1_budget=budget or graph.n_nodes + 1,
+                         stage2_keep=20 if budget == 32 else 64)
+    truncated = 0
+    for seed, t in seeds:
+        full = reference_bfs(lists, graph.node_time, seed, t, max_hop, None)
+        cands = reference_bfs(lists, graph.node_time, seed, t, max_hop, budget)
+        assert structural_sample(graph, seed, t, cfg, budget=budget) == cands
+        truncated += len(cands) < len(full)
+
+        others = full[1:]
+        draw = np.random.default_rng(seed)
+        take = min(cfg.stage1_budget - 1, len(others))
+        if take < len(others):
+            others = [others[i] for i in sorted(draw.choice(len(others), size=take,
+                                                            replace=False))]
+        random_cands = [full[0]] + others
+        paths = [
+            (dict(), reference_refine(cands, E, seed, cfg.stage2_keep)),
+            (dict(skip_refinement=True), cands),
+            (dict(random_stage1_rng=np.random.default_rng(seed)),
+             reference_refine(random_cands, E, seed, cfg.stage2_keep)),
+        ]
+        for kwargs, kept in paths:
+            sub = sample(graph, seed, t, E.__getitem__, cfg, **kwargs)
+            nodes, hops, delta, adj = reference_finalize(lists, graph.node_time, seed, t, kept)
+            assert sub.nodes.tolist() == nodes
+            assert sub.hop.tolist() == hops
+            np.testing.assert_array_equal(sub.delta_t, delta)
+            assert sub.local_adjacency == adj
+    if budget == 32:
+        assert truncated > 0  # the budget cut itself is compared
