@@ -11,13 +11,16 @@ before the softmax. Several subgraphs are attended in one padded
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numcore as nc
 from .encoders import SECONDS_PER_DAY, Affine
 from .numcore import Parameter, Tensor
+
+if TYPE_CHECKING:
+    from .model import BatchedSubgraphs
 
 SIGMA_MIN_DAYS = 1e-3
 
@@ -30,10 +33,6 @@ MASK_NEG = -1e30
 
 # entry of a padded row index that stands for no row
 PAD = -1
-
-
-def softplus_float(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
 
 
 def inverse_softplus(y: float) -> float:
@@ -68,9 +67,6 @@ class GaussianBiasParams:
         self.proj_scale = Parameter(np.ones(n_heads), f"{name}.proj_scale")
         self.proj_shift = Parameter(np.zeros(n_heads), f"{name}.proj_shift")
 
-    def sigma_tensor(self, head: int) -> Tensor:
-        return nc.softplus(nc.element(self.rho, head)) + SIGMA_MIN_DAYS
-
     def sigma_values(self) -> np.ndarray:
         return np.logaddexp(0.0, self.rho.data) + SIGMA_MIN_DAYS
 
@@ -92,15 +88,6 @@ def pairwise_delta_days(delta_t_seconds: np.ndarray) -> np.ndarray:
     return d
 
 
-def bias_matrix(delta_t_seconds: np.ndarray, params: GaussianBiasParams,
-                head: int) -> Tensor:
-    """N x N additive bias for one head: affine(kernel(|dt_i - dt_j|))."""
-    all_heads = nc.gaussian_bias(pairwise_delta_days(delta_t_seconds), params.mu,
-                                 params.rho, params.proj_scale, params.proj_shift,
-                                 SIGMA_MIN_DAYS)
-    return nc.rows(all_heads, head)
-
-
 class AttentionLayer:
     def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator,
                  dropout_rate: float = 0.3):
@@ -116,38 +103,25 @@ class AttentionLayer:
         self.out = Affine(f"{name}.out", d, d, rng)
         self.bias = GaussianBiasParams(f"{name}.bias", n_heads)
 
-    def attend(self, H: Tensor, delta_t_seconds: np.ndarray, *,
-               index: np.ndarray | None = None,
+    def attend(self, H: Tensor, batch: BatchedSubgraphs, *,
                use_bias: bool = True, training: bool = False,
                rng: np.random.Generator | None = None,
-               return_weights: bool = False,
-               mask: np.ndarray | None = None):
+               return_weights: bool = False):
         """Biased multi-head attention over each subgraph's complete graph.
 
-        ``H`` holds the node rows of one or more subgraphs. ``index`` is a
-        (B, n_max) array listing each subgraph's rows of ``H``, padded with
-        ``PAD``; without it all of ``H`` is one subgraph. The rows are
-        gathered into (B, heads, n_max, n_max) scores whose padded key
-        columns get ``MASK_NEG``, and the outputs are scattered back to the
-        rows of ``H``, so no row attends outside its own subgraph.
-
-        ``mask`` is an optional additive pre-softmax term (0 where attention
-        is allowed, a large negative value where it is not) that broadcasts
-        against those scores. With ``return_weights`` the softmax weights
-        come back too, one array per head: (n, n) for a lone subgraph,
-        (B, n_max, n_max) when ``index`` is given.
+        ``H`` holds the node rows of the subgraphs of ``batch``. They are
+        padded into (B, heads, n_max, n_max) scores whose padded key columns
+        get ``MASK_NEG``, and the outputs are unpadded back to the rows of
+        ``H``, so no row attends outside its own subgraph. With
+        ``return_weights`` the softmax weights come back too, one
+        (B, n_max, n_max) array per head.
         """
         n_rows = H.shape[0]
-        lone = index is None
-        if lone:
-            index = np.arange(n_rows)[None]
-        pad = index == PAD
-        gather = np.where(pad, 0, index)
-        n_sub, n_max = index.shape
+        pad = batch.index == PAD
 
         def heads(W: Parameter, axes: tuple[int, ...]) -> Tensor:
             X = nc.matmul(H, W.t()).reshape(n_rows, self.n_heads, self.head_dim)
-            return nc.rows(X, gather).transpose(*axes)
+            return batch.pad(X).transpose(*axes)
 
         Q = heads(self.W_Q, (0, 2, 1, 3))    # (B, heads, n_max, head_dim)
         K_t = heads(self.W_K, (0, 2, 3, 1))  # (B, heads, head_dim, n_max)
@@ -155,7 +129,7 @@ class AttentionLayer:
         scores = nc.bmm(Q, K_t) * (1.0 / math.sqrt(self.head_dim))
         if use_bias:
             # one |dt_i - dt_j| matrix per subgraph, shared by all heads
-            dt = np.asarray(delta_t_seconds, dtype=np.float64)[gather]
+            dt = batch.delta_t[np.where(pad, 0, batch.index)]
             scores = scores + nc.gaussian_bias(
                 pairwise_delta_days(dt), self.bias.mu, self.bias.rho,
                 self.bias.proj_scale, self.bias.proj_shift, SIGMA_MIN_DAYS)
@@ -163,19 +137,13 @@ class AttentionLayer:
             # padded keys get no weight, and padded query rows are dropped on
             # the way back, so padding passes no gradient to any parameter
             scores = scores + Tensor(np.where(pad, MASK_NEG, 0.0)[:, None, None, :])
-        if mask is not None:
-            scores = scores + Tensor(mask)
         alpha = nc.softmax_rows(scores)
         if return_weights:
-            weights = [alpha.data[0 if lone else slice(None), h].copy()
-                       for h in range(self.n_heads)]
+            weights = [alpha.data[:, h].copy() for h in range(self.n_heads)]
         if training and self.dropout_rate > 0 and rng is not None:
             alpha = nc.dropout(alpha, self.dropout_rate, rng, training)
-        Y = nc.bmm(alpha, V).transpose(0, 2, 1, 3).reshape(n_sub * n_max, self.d)
-        # padded slot of each row of H, in row order
-        slot = np.empty(n_rows, dtype=np.intp)
-        slot[index[~pad]] = np.flatnonzero(~pad)
-        out = self.out(nc.rows(Y, slot))
+        Y = nc.bmm(alpha, V).transpose(0, 2, 1, 3)  # (B, n_max, heads, head_dim)
+        out = self.out(batch.unpad(Y).reshape(n_rows, self.d))
         if return_weights:
             return out, weights
         return out

@@ -68,20 +68,25 @@ def _load_dataset(data_dir: str):
     return schema, tables, graph
 
 
-def _run_configs(args, raw: dict):
-    model_cfg = _build_dataclass(ModelConfig, raw.get("model", {}),
-                                 {"init_seed": getattr(args, "seed", None)})
-    train_cfg = _build_dataclass(TrainConfig, raw.get("train", {}),
-                                 {"rng_seed": getattr(args, "seed", None)})
+def _configs(raw: dict, seed: int | None, ablation: AblationFlags):
+    model_cfg = _build_dataclass(ModelConfig, raw.get("model", {}), {"init_seed": seed})
+    train_cfg = _build_dataclass(TrainConfig, raw.get("train", {}), {"rng_seed": seed})
     samp_cfg = _build_dataclass(SamplingConfig, raw.get("sampling", {}))
+    if samp_cfg.max_hop > model_cfg.max_hop:
+        raise ConfigError(f"sampling.max_hop={samp_cfg.max_hop} exceeds "
+                          f"model.max_hop={model_cfg.max_hop}")
+    model_cfg.no_gaussian_bias = ablation.no_gaussian_bias
+    model_cfg.no_gnn_branch = ablation.no_gnn_branch
+    return model_cfg, train_cfg, samp_cfg
+
+
+def _run_configs(args, raw: dict):
     ablation = AblationFlags(
         no_structural_sampling=args.no_structural_sampling,
         no_semantic_refinement=args.no_semantic_refinement,
         no_gaussian_bias=args.no_gaussian_bias,
         no_gnn_branch=args.no_gnn_branch)
-    model_cfg.no_gaussian_bias = ablation.no_gaussian_bias
-    model_cfg.no_gnn_branch = ablation.no_gnn_branch
-    return model_cfg, train_cfg, samp_cfg, ablation
+    return (*_configs(raw, getattr(args, "seed", None), ablation), ablation)
 
 
 def _ablation_name(ablation: AblationFlags) -> str:
@@ -211,13 +216,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     summary = []
     for ablation in variants:
-        model_cfg = _build_dataclass(ModelConfig, raw.get("model", {}),
-                                     {"init_seed": args.seed})
-        train_cfg = _build_dataclass(TrainConfig, raw.get("train", {}),
-                                     {"rng_seed": args.seed})
-        samp_cfg = _build_dataclass(SamplingConfig, raw.get("sampling", {}))
-        model_cfg.no_gaussian_bias = ablation.no_gaussian_bias
-        model_cfg.no_gnn_branch = ablation.no_gnn_branch
+        model_cfg, train_cfg, samp_cfg = _configs(raw, args.seed, ablation)
         model = GelModel(model_cfg, schema, tables)
         result = train(model, graph, schema, tables, splits, train_cfg,
                        samp_cfg, ablation)

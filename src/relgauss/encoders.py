@@ -223,7 +223,7 @@ class TabularEncoder:
 
 
 class PositionalEncoder:
-    """GIN over the local subgraph edges, random-feature initialized."""
+    """GIN over each subgraph's local edges, random-feature initialized."""
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
         p = config.pe_dim
@@ -238,18 +238,10 @@ class PositionalEncoder:
             ))
         self.out = Affine("pos.out", p, p, rng)
 
-    def __call__(self, local_adjacency, init_features: np.ndarray) -> Tensor:
-        if isinstance(local_adjacency, np.ndarray):
-            agg = local_adjacency
-        else:
-            n = len(local_adjacency)
-            agg = np.zeros((n, n))
-            for i, nbrs in enumerate(local_adjacency):
-                agg[i, nbrs] = 1.0
-        agg_t = Tensor(agg)
+    def __call__(self, batch: BatchedSubgraphs, init_features: np.ndarray) -> Tensor:
         h = Tensor(np.asarray(init_features, dtype=np.float64))
         for eps, a1, norm, a2 in self.layers:
-            mixed = h * (1.0 + eps) + nc.matmul(agg_t, h)
+            mixed = h * (1.0 + eps) + batch.propagate(batch.adjacency, h)
             h = h + a2(nc.gelu(norm(a1(mixed))))
         return self.out(h)
 
@@ -324,7 +316,7 @@ class EncoderSuite:
         time_e = self.time_enc(sub.delta_t)
         tab_e = self._encode_tabular(sub.nodes, graph, tables)
         init = positional_init(run_seed, sub.nodes, self.config.pe_dim)
-        pos_e = self.pos_enc(sub.sum_agg, init)
+        pos_e = self.pos_enc(sub, init)
         return self.mixer(type_e, hop_e, time_e, tab_e, pos_e)
 
     def _encode_tabular(self, nodes: np.ndarray, graph: RelGraph,

@@ -2,13 +2,14 @@
 
 Three mean-aggregation layers; each applies self + neighbor-mean linear
 maps, LayerNorm, GELU and dropout, with a residual skip from the layer
-input. Messages only flow along the sampled subgraph's induced adjacency,
+input. Messages only flow along each sampled subgraph's induced adjacency,
 never the complete attention graph.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,18 +17,10 @@ from . import numcore as nc
 from .encoders import Norm
 from .numcore import Parameter, Tensor
 
+if TYPE_CHECKING:
+    from .model import BatchedSubgraphs
+
 GNN_DROPOUT = 0.1
-
-
-def _mean_agg(local_adjacency, n: int) -> np.ndarray:
-    """Accept a precomputed matrix or build one from adjacency lists."""
-    if isinstance(local_adjacency, np.ndarray):
-        return local_adjacency
-    agg = np.zeros((n, n))
-    for i, nbrs in enumerate(local_adjacency):
-        if nbrs:
-            agg[i, nbrs] = 1.0 / len(nbrs)  # empty neighborhoods stay zero
-    return agg
 
 
 class SageLayer:
@@ -39,11 +32,10 @@ class SageLayer:
         self.norm = Norm(f"{name}.norm", d)
         self.dropout_rate = dropout_rate
 
-    def __call__(self, H: Tensor, local_adjacency, *,
+    def __call__(self, H: Tensor, batch: BatchedSubgraphs, *,
                  training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-        agg = _mean_agg(local_adjacency, H.shape[0])
-        neigh_mean = nc.matmul(Tensor(agg), H)
+        neigh_mean = batch.propagate(batch.mean_adjacency, H)
         z = nc.matmul(H, self.W_self.t()) + nc.matmul(neigh_mean, self.W_neigh.t())
         z = nc.gelu(self.norm(z))
         if training and rng is not None:
@@ -58,12 +50,11 @@ class GnnBranch:
     def __init__(self, name: str, d: int, rng: np.random.Generator, n_layers: int = 3):
         self.layers = [SageLayer(f"{name}.sage{k}", d, rng) for k in range(n_layers)]
 
-    def __call__(self, H: Tensor, local_adjacency, *,
+    def __call__(self, H: Tensor, batch: BatchedSubgraphs, *,
                  training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-        agg = _mean_agg(local_adjacency, H.shape[0])
         for layer in self.layers:
-            H = layer(H, agg, training=training, rng=rng)
+            H = layer(H, batch, training=training, rng=rng)
         return H
 
     def parameters(self):

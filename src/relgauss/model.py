@@ -5,17 +5,18 @@ complete sampled graph and the GraphSAGE branch over the induced relational
 edges, then blends them with a single learned gate eta = logistic(eta_raw)
 shared across blocks. The seed-node row feeds a 2-layer perceptron head.
 
-Subgraphs go through the model in batches: their node rows are stacked, the
-row-wise layers and the GNN run on the stacked rows (the GNN over a
-block-diagonal adjacency), and attention runs on each subgraph on its own
-through a padded row index.
+Subgraphs go through the model in batches: their node rows are stacked and
+the row-wise layers run on the stacked rows. Everything that mixes rows
+(attention, the GNN's neighbour mean, the positional GIN's neighbour sum)
+runs on each subgraph on its own, on a (B, n_max, ...) stack gathered
+through a padded row index and scattered back to the rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,14 +115,6 @@ class GelModel:
 
     # -- forward ---------------------------------------------------------
 
-    def forward(self, sub: SampledSubgraph, graph: RelGraph, tables: TableData,
-                *, run_seed: int = 0, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Scalar score (logit or regression value) for the seed node."""
-        return self.forward_batch(batch_subgraphs([sub]), tables, graph,
-                                  run_seed=run_seed, training=training,
-                                  rng=rng).reshape(())
-
     def forward_batch(self, batch: "BatchedSubgraphs", tables: TableData,
                       graph: RelGraph, *, run_seed: int = 0,
                       training: bool = False,
@@ -131,13 +124,12 @@ class GelModel:
         H = self.encoders.encode_subgraph(batch, graph, tables, run_seed)
         eta = self.eta()
         for attn, gnn in zip(self.attn_layers, self.gnn_layers):
-            H_attn = attn.attend(H, batch.delta_t, index=batch.index,
-                                 use_bias=not cfg.no_gaussian_bias,
+            H_attn = attn.attend(H, batch, use_bias=not cfg.no_gaussian_bias,
                                  training=training, rng=rng)
             if cfg.no_gnn_branch:
                 H = H_attn
             else:
-                H_gnn = gnn(H, batch.mean_agg, training=training, rng=rng)
+                H_gnn = gnn(H, batch, training=training, rng=rng)
                 H = fuse(H_attn, H_gnn, eta)
         seed_rows = nc.rows(H, batch.seed_positions)
         return self.head_a2(nc.gelu(self.head_a1(seed_rows))).reshape(-1)
@@ -145,37 +137,53 @@ class GelModel:
 
 @dataclass
 class BatchedSubgraphs:
-    """Several sampled subgraphs with their node rows stacked in order."""
+    """Several sampled subgraphs with their node rows stacked in order.
+
+    Anything that mixes rows does so per subgraph on a padded stack:
+    ``pad`` gathers the rows into (B, n_max, ...) and ``unpad`` takes them
+    back, dropping the padded slots.
+    """
     nodes: np.ndarray
     hop: np.ndarray
     delta_t: np.ndarray
-    sum_agg: np.ndarray         # block-diagonal over the stacked rows
-    mean_agg: np.ndarray
     index: np.ndarray           # (B, n_max): each subgraph's rows, PAD-filled
+    slot: np.ndarray            # padded slot of each row, in row order
+    adjacency: np.ndarray       # (B, n_max, n_max) 0/1 local adjacency
     seed_positions: np.ndarray  # row index of each subgraph's seed
+
+    @cached_property
+    def mean_adjacency(self) -> np.ndarray:
+        """``adjacency`` with each row divided by its degree (isolated: 0)."""
+        return self.adjacency / np.maximum(self.adjacency.sum(axis=-1, keepdims=True), 1.0)
+
+    def pad(self, X: Tensor) -> Tensor:
+        """(B, n_max, ...) stack of each subgraph's rows; padded slots hold row 0."""
+        return nc.rows(X, np.where(self.index == PAD, 0, self.index))
+
+    def unpad(self, Y: Tensor) -> Tensor:
+        """The rows of a (B, n_max, ...) stack back in row order."""
+        return nc.rows(Y.reshape(-1, *Y.shape[2:]), self.slot)
+
+    def propagate(self, A: np.ndarray, X: Tensor) -> Tensor:
+        """Row i of subgraph b gets sum_j A[b, i, j] X_j over its own rows."""
+        return self.unpad(nc.bmm(Tensor(A), self.pad(X)))
 
 
 def batch_subgraphs(subs: list[SampledSubgraph]) -> BatchedSubgraphs:
     sizes = np.array([s.n_nodes for s in subs])
     seeds = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-    slots = np.arange(sizes.max())
+    n_max = int(sizes.max())
+    slots = np.arange(n_max)
     index = np.where(slots < sizes[:, None], seeds[:, None] + slots, PAD)
-    # one scatter of the offset local edges into each aggregation matrix
-    adjacency = [nbrs for s in subs for nbrs in s.local_adjacency]
-    deg = np.array([len(nbrs) for nbrs in adjacency], dtype=np.intp)
-    rows = np.repeat(np.arange(len(adjacency)), deg)
-    cols = np.repeat(np.repeat(seeds, sizes), deg) + np.fromiter(
-        chain.from_iterable(adjacency), dtype=np.intp, count=int(deg.sum()))
-    sum_agg = np.zeros((len(adjacency), len(adjacency)))
-    sum_agg[rows, cols] = 1.0
-    mean_agg = np.zeros_like(sum_agg)
-    mean_agg[rows, cols] = 1.0 / deg[rows]
+    slot = np.flatnonzero(index != PAD)
+    adjacency = np.zeros((len(subs), n_max, n_max))
+    for b, s in enumerate(subs):
+        adjacency[(b, *s.local_adjacency.pairs())] = 1.0
     return BatchedSubgraphs(
         nodes=np.concatenate([s.nodes for s in subs]),
         hop=np.concatenate([s.hop for s in subs]),
         delta_t=np.concatenate([s.delta_t for s in subs]),
-        sum_agg=sum_agg, mean_agg=mean_agg, index=index,
-        seed_positions=seeds)
+        index=index, slot=slot, adjacency=adjacency, seed_positions=seeds)
 
 
 def fuse(H_attn: Tensor, H_gnn: Tensor, eta: Tensor | float) -> Tensor:

@@ -35,10 +35,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     if grad.shape == shape:
@@ -307,30 +303,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def element(vec: Tensor, i: int) -> Tensor:
-    """Scalar view of one coordinate of a 1-D tensor."""
-
-    def backward(g):
-        if vec.requires_grad:
-            acc = np.zeros_like(vec.data)
-            acc[i] = g
-            vec._accum(acc)
-
-    return Tensor._make(vec.data[i], (vec,), backward)
-
-
-def col_slice(x: Tensor, sl: slice) -> Tensor:
-    """Contiguous column slice of a 2-D tensor."""
-
-    def backward(g):
-        if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            acc[:, sl] = g
-            x._accum(acc)
-
-    return Tensor._make(x.data[:, sl], (x,), backward)
-
-
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with max-subtraction for overflow safety."""
     x = Tensor._coerce(x)
@@ -505,6 +477,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if not node.is_leaf:
+            node.grad = None  # fully accumulated and passed on: free it now
 
 
 def zero_grad(params: Iterable[Parameter]) -> None:

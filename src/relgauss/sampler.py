@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relstore import RelGraph, sorted_unique
+from .relstore import CsrAdjacency, RelGraph, sorted_unique
 
 
 @dataclass
@@ -35,7 +35,7 @@ class SampledSubgraph:
     nodes: np.ndarray            # global node ids, seed first
     hop: np.ndarray              # hop distance per node
     delta_t: np.ndarray          # seed_time - tau, seconds (0 for the seed)
-    local_adjacency: list[list[int]]
+    local_adjacency: CsrAdjacency  # over local indices 0..n-1
     seed_time: float
 
     @property
@@ -109,10 +109,7 @@ def _finalize(graph: RelGraph, seed: int, seed_time: float,
     pos = np.minimum(ids.searchsorted(nbrs), k - 1)
     found = ids[pos] == nbrs
     owner = np.repeat(np.arange(k), counts)[found]
-    keys = np.sort(owner * k + by_id[pos[found]])  # by owner, then local index
-    flat = (keys % k).tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
-    adj = [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+    adj = CsrAdjacency.from_pairs(owner, by_id[pos[found]], k)
     return SampledSubgraph(nodes=nodes, hop=hops, delta_t=delta,
                            local_adjacency=adj, seed_time=float(seed_time))
 
@@ -144,7 +141,9 @@ def sample(graph: RelGraph, seed: int, seed_time: float, embeddings,
 
 def subgraph_to_dict(sub: SampledSubgraph) -> dict:
     """JSON-friendly view used by the CLI inspection command."""
-    edges = [[i, j] for i, nbrs in enumerate(sub.local_adjacency) for j in nbrs if i < j]
+    src, dst = sub.local_adjacency.pairs()
+    upper = src < dst
+    edges = np.stack([src[upper], dst[upper]], axis=1).tolist()
     return {
         "nodes": [int(n) for n in sub.nodes],
         "hops": [int(h) for h in sub.hop],

@@ -16,7 +16,8 @@ import pytest
 from relgauss import numcore as nc
 from relgauss.attention import AttentionLayer, gaussian_kernel
 from relgauss.cli import main as cli_main
-from relgauss.model import AblationFlags, GelModel, ModelConfig, loss
+from relgauss.model import (AblationFlags, GelModel, ModelConfig, batch_subgraphs,
+                            loss)
 from relgauss.numcore import Tensor
 from relgauss.oracles import (KatzParams, ascend_mu, euler_ratio_factor,
                               katz_centrality, katz_linear_solve,
@@ -172,7 +173,7 @@ def test_unit_kernel_gap_multiplies_attention_odds_by_e():
 # ---------------------------------------------------------------------------
 
 
-def test_attention_rows_normalized_over_many_passes():
+def test_attention_rows_normalized_over_many_passes(make_batch):
     rng = np.random.default_rng(21)
     layer = AttentionLayer("L", d=16, n_heads=2, rng=rng, dropout_rate=0.0)
     for _ in range(1000):
@@ -180,12 +181,12 @@ def test_attention_rows_normalized_over_many_passes():
         H = Tensor(rng.normal(size=(n, 16)) * 3)
         dt = rng.uniform(0, 40 * SECONDS_PER_DAY, size=n)
         with nc.no_grad():
-            _, weights = layer.attend(H, dt, return_weights=True)
+            _, weights = layer.attend(H, make_batch(delta_ts=[dt]), return_weights=True)
         for alpha in weights:
-            assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-9
+            assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) <= 1e-9
 
 
-def test_zero_bias_projection_is_bitwise_vanilla():
+def test_zero_bias_projection_is_bitwise_vanilla(make_batch):
     rng = np.random.default_rng(22)
     layer = AttentionLayer("L", d=16, n_heads=2, rng=rng, dropout_rate=0.0)
     layer.bias.proj_scale.data[:] = 0.0
@@ -195,8 +196,8 @@ def test_zero_bias_projection_is_bitwise_vanilla():
         H = Tensor(rng.normal(size=(n, 16)))
         dt = rng.uniform(0, 10 * SECONDS_PER_DAY, size=n)
         with nc.no_grad():
-            biased = layer.attend(H, dt, use_bias=True)
-            vanilla = layer.attend(H, dt, use_bias=False)
+            biased = layer.attend(H, make_batch(delta_ts=[dt]), use_bias=True)
+            vanilla = layer.attend(H, make_batch(delta_ts=[dt]), use_bias=False)
         assert np.array_equal(biased.data, vanilla.data)
 
 
@@ -285,15 +286,16 @@ def test_whole_model_gradient_matches_finite_differences(four_node_setup):
     sub = sample(graph, 0, float(graph.node_time[0]), embed.__getitem__,
                  SamplingConfig())
     assert sub.n_nodes == 4  # seed + its three events
+    batch = batch_subgraphs([sub])
 
     def loss_value() -> float:
         with nc.no_grad():
-            s = model.forward(sub, graph, tables, run_seed=0)
+            s = model.forward_batch(batch, tables, graph, run_seed=0).reshape(())
         return float(nc.softplus(s).data - 1.0 * s.data)
 
     params = model.parameters()
     nc.zero_grad(params.values())
-    score = model.forward(sub, graph, tables, run_seed=0)
+    score = model.forward_batch(batch, tables, graph, run_seed=0)
     nc.backward(loss(score, 1.0, "binary_classification"))
 
     for name, p in params.items():

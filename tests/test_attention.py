@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgauss import numcore as nc
-from relgauss.attention import (INVALID_DELTA_DAYS, SIGMA_MIN_DAYS,
+from relgauss.attention import (INVALID_DELTA_DAYS, PAD, SIGMA_MIN_DAYS,
                                 AttentionLayer, GaussianBiasParams,
-                                bias_matrix, gaussian_kernel,
+                                gaussian_kernel,
                                 grad_mu_closed_form, inverse_softplus,
                                 pairwise_delta_days)
 from relgauss.encoders import SECONDS_PER_DAY
@@ -73,20 +73,28 @@ def test_pairwise_delta_invalid_entries_capped():
     assert d[0, 2] == 1.0
 
 
+def gaussian_bias_of(p: GaussianBiasParams, dt: np.ndarray):
+    """(heads, n, n) additive bias of all heads: affine(kernel(|dt_i - dt_j|))."""
+    return nc.gaussian_bias(pairwise_delta_days(dt), p.mu, p.rho, p.proj_scale,
+                            p.proj_shift, SIGMA_MIN_DAYS)
+
+
 def test_bias_matrix_matches_scalar_kernel():
     p = GaussianBiasParams("b", 2, mu_init_days=1.0, sigma_init_days=4.0)
     dt = np.array([0.0, 86400.0, 5 * 86400.0])
-    B = bias_matrix(dt, p, 0)
+    B = gaussian_bias_of(p, dt)
+    assert B.shape == (2, 3, 3)
     d = pairwise_delta_days(dt)
     expect = np.vectorize(lambda x: gaussian_kernel(x, 1.0, 4.0))(d)
-    np.testing.assert_allclose(B.data, expect, atol=1e-15)
+    for head in range(2):
+        np.testing.assert_allclose(B.data[head], expect, atol=1e-15)
 
 
 def test_bias_matrix_gradient_matches_closed_form():
     p = GaussianBiasParams("b", 1, mu_init_days=2.0, sigma_init_days=3.0)
     dt = np.array([0.0, 4 * 86400.0])
     nc.zero_grad(p.parameters())
-    B = bias_matrix(dt, p, 0)
+    B = gaussian_bias_of(p, dt)
     nc.backward(B.sum())
     d = pairwise_delta_days(dt)
     sigma = p.sigma_values()[0]
@@ -102,58 +110,57 @@ def layer():
                           dropout_rate=0.0)
 
 
-def test_attention_rows_sum_to_one(layer):
+def test_attention_rows_sum_to_one(layer, make_batch):
     rng = np.random.default_rng(1)
     H = Tensor(rng.normal(size=(5, 8)))
     dt = rng.uniform(0, 10 * 86400, size=5)
-    _, weights = layer.attend(H, dt, return_weights=True)
+    _, weights = layer.attend(H, make_batch(delta_ts=[dt]), return_weights=True)
     for alpha in weights:
-        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+        assert alpha.shape == (1, 5, 5)
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(alpha >= 0)
 
 
-def test_zero_bias_params_equal_vanilla_attention(layer):
+def test_zero_bias_params_equal_vanilla_attention(layer, make_batch):
     rng = np.random.default_rng(2)
     H = Tensor(rng.normal(size=(4, 8)))
     dt = rng.uniform(0, 5 * 86400, size=4)
     layer.bias.proj_scale.data[:] = 0.0
     layer.bias.proj_shift.data[:] = 0.0
     with nc.no_grad():
-        biased = layer.attend(H, dt, use_bias=True)
-        vanilla = layer.attend(H, dt, use_bias=False)
+        biased = layer.attend(H, make_batch(delta_ts=[dt]), use_bias=True)
+        vanilla = layer.attend(H, make_batch(delta_ts=[dt]), use_bias=False)
     # softmax shift invariance makes a constant bias a strict no-op
     np.testing.assert_array_equal(biased.data, vanilla.data)
 
 
-def test_mask_blocks_cross_attention(layer):
+def test_mask_blocks_cross_attention(layer, make_batch):
     rng = np.random.default_rng(3)
     Ha = rng.normal(size=(3, 8))
     Hb = rng.normal(size=(2, 8))
     dta = rng.uniform(0, 86400, size=3)
     dtb = rng.uniform(0, 86400, size=2)
-    mask = np.full((5, 5), -1e30)
-    mask[:3, :3] = 0.0
-    mask[3:, 3:] = 0.0
+    batch = make_batch(delta_ts=[dta, dtb])
+    np.testing.assert_array_equal(batch.index, [[0, 1, 2], [3, 4, PAD]])
     with nc.no_grad():
-        joint, w = layer.attend(Tensor(np.vstack([Ha, Hb])),
-                                np.concatenate([dta, dtb]),
-                                mask=mask, return_weights=True)
-        solo_a = layer.attend(Tensor(Ha), dta)
-        solo_b = layer.attend(Tensor(Hb), dtb)
+        joint, w = layer.attend(Tensor(np.vstack([Ha, Hb])), batch, return_weights=True)
+        solo_a = layer.attend(Tensor(Ha), make_batch(delta_ts=[dta]))
+        solo_b = layer.attend(Tensor(Hb), make_batch(delta_ts=[dtb]))
     for alpha in w:
-        np.testing.assert_allclose(alpha[:3, 3:], 0.0, atol=1e-300)
-        np.testing.assert_allclose(alpha[3:, :3], 0.0, atol=1e-300)
+        assert alpha.shape == (2, 3, 3)
+        # the padded key of the shorter subgraph gets no weight
+        np.testing.assert_array_equal(alpha[1, :2, 2], 0.0)
     np.testing.assert_allclose(joint.data[:3], solo_a.data, atol=1e-12)
     np.testing.assert_allclose(joint.data[3:], solo_b.data, atol=1e-12)
 
 
-def test_attention_gradients_flow_to_bias(layer):
+def test_attention_gradients_flow_to_bias(layer, make_batch):
     rng = np.random.default_rng(4)
     H = Tensor(rng.normal(size=(4, 8)))
     dt = rng.uniform(0, 3 * 86400, size=4)
     params = layer.parameters()
     nc.zero_grad(params)
-    out = layer.attend(H, dt)
+    out = layer.attend(H, make_batch(delta_ts=[dt]))
     nc.backward((out ** 2).sum())
     by_name = {p.name: p for p in params}
     assert np.abs(by_name["L.bias.mu"].grad).max() > 0
@@ -161,15 +168,16 @@ def test_attention_gradients_flow_to_bias(layer):
     assert np.abs(by_name["L.W_Q"].grad).max() > 0
 
 
-def test_dropout_changes_training_output_only(layer):
+def test_dropout_changes_training_output_only(layer, make_batch):
     layer.dropout_rate = 0.5
     rng = np.random.default_rng(5)
     H = Tensor(rng.normal(size=(4, 8)))
     dt = rng.uniform(0, 86400, size=4)
     with nc.no_grad():
-        eval_out = layer.attend(H, dt, training=False)
-        eval_out2 = layer.attend(H, dt, training=False)
-        train_out = layer.attend(H, dt, training=True,
+        batch = make_batch(delta_ts=[dt])
+        eval_out = layer.attend(H, batch, training=False)
+        eval_out2 = layer.attend(H, batch, training=False)
+        train_out = layer.attend(H, batch, training=True,
                                  rng=np.random.default_rng(6))
     np.testing.assert_array_equal(eval_out.data, eval_out2.data)
     assert not np.array_equal(eval_out.data, train_out.data)

@@ -87,6 +87,11 @@ def test_sample_outputs_subgraph_json(gen_dir, capsys):
     assert sub["hops"][0] == 0
     assert len(sub["nodes"]) == len(sub["hops"]) == len(sub["delta_t"])
     assert all(d >= 0 for d in sub["delta_t"])
+    n = len(sub["nodes"])
+    assert sub["edges"]
+    for i, j in sub["edges"]:
+        assert 0 <= i < j < n
+    assert json.loads(json.dumps(sub)) == sub
 
 
 def test_sample_row_out_of_range(gen_dir, capsys):
@@ -195,6 +200,28 @@ def test_train_invalid_config_value_exits_2(gen_dir, tmp_path, capsys, raw, fiel
     assert code == EXIT_CONFIG
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
+def test_train_sampling_deeper_than_model_exits_2(gen_dir, tmp_path, capsys):
+    # the hop encoder has rows for hops 0..model.max_hop only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TRAIN_CONFIG, sampling={"max_hop": 3})))
+    code, _, err = run(capsys, "train", "--data", str(gen_dir), "--config",
+                       str(cfg), "--out", str(tmp_path / "r"), "--quiet")
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "max_hop" in err
+
+
+def test_eval_sampling_deeper_than_model_exits_2(trained, gen_dir, tmp_path, capsys):
+    out, _ = trained
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TRAIN_CONFIG, sampling={"max_hop": 3})))
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--config", str(cfg),
+                       "--checkpoint", str(out / "r1" / "checkpoint"))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "max_hop" in err
 
 
 def test_eval_from_checkpoint(trained, gen_dir, capsys):

@@ -144,23 +144,15 @@ def test_positional_features_keyed_by_global_id():
     assert not np.array_equal(a[0], c[0])
 
 
-def test_positional_encoder_equivariant_under_relabeling(rng):
+def test_positional_encoder_equivariant_under_relabeling(rng, make_batch):
     enc = PositionalEncoder(CFG, rng)
     # path graph 0-1-2 and its reversal 2-1-0
     adj = [[1], [0, 2], [1]]
     adj_rev = [[1], [0, 2], [1]]
     feats = positional_init(0, np.array([10, 11, 12]), 4)
-    out = enc(adj, feats).data
-    out_rev = enc(adj_rev, feats[::-1]).data
+    out = enc(make_batch([adj]), feats).data
+    out_rev = enc(make_batch([adj_rev]), feats[::-1]).data
     np.testing.assert_allclose(out, out_rev[::-1], atol=1e-12)
-
-
-def test_positional_encoder_accepts_matrix_agg(rng):
-    enc = PositionalEncoder(CFG, rng)
-    adj = [[1], [0, 2], [1]]
-    mat = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.float64)
-    feats = positional_init(0, np.array([1, 2, 3]), 4)
-    np.testing.assert_array_equal(enc(adj, feats).data, enc(mat, feats).data)
 
 
 def test_affine_shapes(rng):

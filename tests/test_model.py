@@ -55,6 +55,12 @@ def make_model(tiny_db, **over):
     return GelModel(ModelConfig(**{**CFG, **over}), schema, tables)
 
 
+def score_one(model, sub, tiny_db):
+    """The (1,) score of one subgraph: forward_batch on a batch of one."""
+    schema, tables, graph = tiny_db
+    return model.forward_batch(batch_subgraphs([sub]), tables, graph, run_seed=0)
+
+
 def subgraphs_for(tiny_db, model):
     schema, tables, graph = tiny_db
     emb = model.encoders.node_embedding(np.arange(graph.n_nodes), graph, tables)
@@ -103,14 +109,13 @@ def test_loss_vector_and_regression():
 
 
 def test_forward_scalar_and_deterministic(tiny_db):
-    schema, tables, graph = tiny_db
     model = make_model(tiny_db)
     sub = subgraphs_for(tiny_db, model)[0]
     with nc.no_grad():
-        s1 = model.forward(sub, graph, tables, run_seed=0)
-        s2 = model.forward(sub, graph, tables, run_seed=0)
-    assert s1.shape == ()
-    assert float(s1.data) == float(s2.data)
+        s1 = score_one(model, sub, tiny_db)
+        s2 = score_one(model, sub, tiny_db)
+    assert s1.shape == (1,)
+    assert s1.data[0] == s2.data[0]
 
 
 def test_unique_parameter_names(tiny_db):
@@ -144,8 +149,16 @@ def test_batch_subgraphs_layout(tiny_db):
         np.testing.assert_array_equal(row[:n], np.arange(off, off + n))
         assert np.all(row[n:] == PAD)
         off += n
-    # block-diagonal mean aggregation rows sum to 1 (or 0 if isolated)
-    rowsum = batch.mean_agg.sum(axis=1)
+    np.testing.assert_array_equal(batch.slot, np.flatnonzero(batch.index != PAD))
+    # each subgraph's local adjacency fills the top-left of its slice of the
+    # stack; padded rows and columns stay empty
+    assert batch.adjacency.shape == (len(sizes), max(sizes), max(sizes))
+    for A, sub in zip(batch.adjacency, subs):
+        dense = np.zeros_like(A)
+        dense[sub.local_adjacency.pairs()] = 1.0
+        np.testing.assert_array_equal(A, dense)
+    # mean aggregation rows sum to 1 (or 0 if isolated or padded)
+    rowsum = batch.mean_adjacency.sum(axis=-1)
     assert np.all((np.abs(rowsum - 1.0) < 1e-12) | (rowsum == 0.0))
 
 
@@ -156,8 +169,7 @@ def test_forward_batch_matches_per_example(tiny_db):
     batch = batch_subgraphs(subs)
     with nc.no_grad():
         joint = model.forward_batch(batch, tables, graph, run_seed=0).data
-        solo = np.array([float(model.forward(s, graph, tables, run_seed=0).data)
-                         for s in subs])
+        solo = np.concatenate([score_one(model, s, tiny_db).data for s in subs])
     np.testing.assert_allclose(joint, solo, atol=1e-10)
 
 
@@ -177,8 +189,7 @@ def test_forward_batch_gradients_match_per_example(tiny_db):
 
     nc.zero_grad(params.values())
     for sub, y in zip(subs, targets):
-        score = model.forward(sub, graph, tables, run_seed=0)
-        nc.backward(loss(score, y, "binary_classification"))
+        nc.backward(loss(score_one(model, sub, tiny_db), y, "binary_classification"))
     for name, p in params.items():
         # some encoder gradients reach 1e5 here, so the bound is relative
         # to each parameter's largest gradient entry
@@ -188,7 +199,6 @@ def test_forward_batch_gradients_match_per_example(tiny_db):
 
 
 def test_no_gaussian_bias_flag_changes_output(tiny_db):
-    schema, tables, graph = tiny_db
     base = make_model(tiny_db)
     nobias = make_model(tiny_db, no_gaussian_bias=True)
     sub = subgraphs_for(tiny_db, base)[0]
@@ -198,31 +208,28 @@ def test_no_gaussian_bias_flag_changes_output(tiny_db):
             a.bias.mu.data[:] = 3.0
             a.bias.rho.data[:] = 0.0
     with nc.no_grad():
-        s_b = float(base.forward(sub, graph, tables, run_seed=0).data)
-        s_n = float(nobias.forward(sub, graph, tables, run_seed=0).data)
+        s_b = score_one(base, sub, tiny_db).data[0]
+        s_n = score_one(nobias, sub, tiny_db).data[0]
     assert s_b != s_n
 
 
 def test_no_gnn_branch_flag(tiny_db):
-    schema, tables, graph = tiny_db
     model = make_model(tiny_db, no_gnn_branch=True)
     sub = subgraphs_for(tiny_db, model)[0]
     # eta must not influence the attention-only path
     with nc.no_grad():
-        s1 = float(model.forward(sub, graph, tables, run_seed=0).data)
+        s1 = score_one(model, sub, tiny_db).data[0]
         model.eta_raw.data = np.array(5.0)
-        s2 = float(model.forward(sub, graph, tables, run_seed=0).data)
+        s2 = score_one(model, sub, tiny_db).data[0]
     assert s1 == s2
 
 
 def test_gradients_reach_all_blocks(tiny_db):
-    schema, tables, graph = tiny_db
     model = make_model(tiny_db)
     sub = subgraphs_for(tiny_db, model)[0]
     params = model.parameters()
     nc.zero_grad(params.values())
-    score = model.forward(sub, graph, tables, run_seed=0)
-    nc.backward(loss(score, 1.0, "binary_classification"))
+    nc.backward(loss(score_one(model, sub, tiny_db), 1.0, "binary_classification"))
     assert np.abs(params["fusion.eta_raw"].grad).max() >= 0
     for probe in ("head.a2.W", "layer0.attn.W_Q", "layer0.gnn.sage0.W_self",
                   "layer1.attn.bias.mu"):
