@@ -17,17 +17,14 @@ import time
 
 import numpy as np
 
-from relgauss.model import AblationFlags, GelModel, ModelConfig
+from relgauss.model import AblationFlags, ModelConfig
 from relgauss.relstore import build_graph, load_schema, load_tables
 from relgauss.sampler import SamplingConfig
 from relgauss.synthgen import SynthConfig, temporal_split, write_db
-from relgauss.trainer import TrainConfig, train
+from relgauss.trainer import TrainConfig, run_ablation_sweep
 
-VARIANTS = [
-    ("full", AblationFlags()),
-    ("no_gaussian_bias", AblationFlags(no_gaussian_bias=True)),
-    ("no_semantic_refinement", AblationFlags(no_semantic_refinement=True)),
-]
+VARIANTS = [AblationFlags(), AblationFlags(no_gaussian_bias=True),
+            AblationFlags(no_semantic_refinement=True)]
 
 
 def main() -> None:
@@ -51,30 +48,22 @@ def main() -> None:
     tables = load_tables(schema, args.db)
     graph = build_graph(schema, tables)
     splits = temporal_split(schema, tables, (0.6, 0.2, 0.2))
-    samp_cfg = SamplingConfig(stage1_budget=32, stage2_keep=20)
 
-    report: dict = {"variants": {}, "mu_traces": {}}
     t0 = time.time()
-    for seed in range(args.seeds):
-        for name, ablation in VARIANTS:
-            model_cfg = ModelConfig(d=64, n_layers=2, n_heads=4, pe_dim=16,
-                                    init_seed=0,
-                                    no_gaussian_bias=ablation.no_gaussian_bias)
-            train_cfg = TrainConfig(lr=args.lr, epochs=args.epochs,
-                                    rng_seed=seed, max_steps_per_epoch=14,
-                                    bias_lr_multiplier=args.bias_lr_multiplier,
-                                    val_stride=2)
-            model = GelModel(model_cfg, schema, tables)
-            t1 = time.time()
-            res = train(model, graph, schema, tables, splits, train_cfg,
-                        samp_cfg, ablation)
+    runs = run_ablation_sweep(
+        graph, schema, tables, splits,
+        ModelConfig(d=64, n_layers=2, n_heads=4, pe_dim=16, init_seed=0),
+        TrainConfig(lr=args.lr, epochs=args.epochs, max_steps_per_epoch=14,
+                    bias_lr_multiplier=args.bias_lr_multiplier, val_stride=2),
+        SamplingConfig(stage1_budget=32, stage2_keep=20),
+        VARIANTS, range(args.seeds))
+    report: dict = {"variants": {}, "mu_traces": {},
+                    "total_seconds": time.time() - t0}
+    for seed, by_name in runs.items():
+        for name, res in by_name.items():
             report["variants"].setdefault(name, []).append(res.test_metric)
-            print(f"{name:24s} seed={seed} {time.time() - t1:6.1f}s "
-                  f"test_auc={res.test_metric:.4f}", flush=True)
-            if name == "full":
-                report["mu_traces"][seed] = [r["mu_per_head"]
-                                             for r in res.records]
-    report["total_seconds"] = time.time() - t0
+            print(f"{name:24s} seed={seed} test_auc={res.test_metric:.4f}")
+        report["mu_traces"][seed] = [r["mu_per_head"] for r in by_name["full"].records]
 
     means = {k: float(np.mean(v)) for k, v in report["variants"].items()}
     report["means"] = means

@@ -91,8 +91,6 @@ def pairwise_delta_days(delta_t_seconds: np.ndarray) -> np.ndarray:
 class AttentionLayer:
     def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator,
                  dropout_rate: float = 0.3):
-        if d % n_heads:
-            raise ValueError("d must be divisible by n_heads")
         self.d = d
         self.n_heads = n_heads
         self.head_dim = d // n_heads

@@ -2,7 +2,8 @@
 evaluation, theorem verification and ablation sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(also a bad schema, table or checkpoint), 3 numeric abort during training.
+(also a bad schema, table or checkpoint, or scored rows that cannot give
+the task's metric), 3 numeric abort during training.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import numpy as np
 from . import numcore as nc
 from .model import AblationFlags, GelModel, ModelConfig
 from .oracles import ALL_CHECKS, run_suite
-from .relstore import (RelGraph, SchemaError, TableDataError, build_graph,
-                       load_schema, load_tables)
-from .sampler import SamplingConfig, sample, subgraph_to_dict
+from .relstore import (SchemaError, TableDataError, build_graph, load_schema,
+                       load_tables)
+from .sampler import SamplingConfig, subgraph_to_dict
 from .synthgen import SynthConfig, temporal_split, write_db
-from .trainer import (EmbeddingCache, NumericAbort, TrainConfig, predict_rows,
+from .trainer import (EmbeddingCache, MetricError, NumericAbort, TrainConfig,
+                      predict_rows, run_ablation_sweep, sample_row, task_metric,
                       train, write_metrics_jsonl)
 
 EXIT_OK = 0
@@ -42,19 +44,38 @@ def _load_json(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object, "
+                          f"not {type(raw).__name__}")
+    return raw
 
 
-def _build_dataclass(cls, raw: dict, overrides: dict | None = None):
-    known = {f.name for f in dataclasses.fields(cls)}
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotated ``annotation`` (such as
+    ``"int | None"``). An int fits a float field; a bool, only a bool field."""
+    kinds = {k.strip() for k in annotation.split("|")}
+    kind = "None" if value is None else type(value).__name__
+    return kind in kinds or (kind == "int" and "float" in kinds)
+
+
+def _build_dataclass(cls, raw, overrides: dict | None = None):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{cls.__name__} section must be a JSON object, "
+                          f"not {type(raw).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
     merged = dict(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    bad = set(merged) - known
+    bad = set(merged) - set(types)
     if bad:
         raise ConfigError(f"unknown {cls.__name__} fields: {sorted(bad)}")
+    for name, value in merged.items():
+        if not _fits(value, types[name]):
+            raise ConfigError(f"invalid {cls.__name__}: {name}={value!r} "
+                              f"is not of type {types[name]}")
     try:
         return cls(**merged)
     except (TypeError, ValueError) as exc:
@@ -68,32 +89,34 @@ def _load_dataset(data_dir: str):
     return schema, tables, graph
 
 
-def _configs(raw: dict, seed: int | None, ablation: AblationFlags):
+def _configs(raw: dict, seed: int | None):
+    """The model, train and sampling configs of a run config; ``seed``, if
+    given, sets both the model's init seed and the training seed."""
+    unknown = set(raw) - {"model", "train", "sampling"}
+    if unknown:
+        raise ConfigError(f"unknown run config sections: {sorted(unknown)}")
     model_cfg = _build_dataclass(ModelConfig, raw.get("model", {}), {"init_seed": seed})
     train_cfg = _build_dataclass(TrainConfig, raw.get("train", {}), {"rng_seed": seed})
     samp_cfg = _build_dataclass(SamplingConfig, raw.get("sampling", {}))
     if samp_cfg.max_hop > model_cfg.max_hop:
         raise ConfigError(f"sampling.max_hop={samp_cfg.max_hop} exceeds "
                           f"model.max_hop={model_cfg.max_hop}")
-    model_cfg.no_gaussian_bias = ablation.no_gaussian_bias
-    model_cfg.no_gnn_branch = ablation.no_gnn_branch
     return model_cfg, train_cfg, samp_cfg
 
 
-def _run_configs(args, raw: dict):
-    ablation = AblationFlags(
-        no_structural_sampling=args.no_structural_sampling,
-        no_semantic_refinement=args.no_semantic_refinement,
-        no_gaussian_bias=args.no_gaussian_bias,
-        no_gnn_branch=args.no_gnn_branch)
-    return (*_configs(raw, getattr(args, "seed", None), ablation), ablation)
+def _run_configs(args):
+    ablation = AblationFlags(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(AblationFlags)})
+    return (*_configs(_load_json(args.config), args.seed), ablation)
 
 
-def _ablation_name(ablation: AblationFlags) -> str:
-    parts = [f.name.replace("_", "-") for f in dataclasses.fields(ablation)
-             if getattr(ablation, f.name)]
-    return "+".join(f"no-{p[3:]}" if p.startswith("no-") else p for p in parts) \
-        if parts else "full"
+def _record_run(result, ablation: AblationFlags, path: str) -> dict:
+    """Write a run's epoch records, tagged with its variant; return its summary."""
+    for rec in result.records:
+        rec["ablation"] = ablation.name
+    write_metrics_jsonl(result.records, path)
+    return {"ablation": ablation.name, "best_val_metric": result.best_metric,
+            "test_metric": result.test_metric}
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +148,14 @@ def cmd_ingest(args) -> int:
 
 def cmd_sample(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
-    model = GelModel(ModelConfig(d=32, n_layers=1, pe_dim=8,
-                                 init_seed=args.seed), schema, tables)
-    embed = EmbeddingCache(model, graph, tables)
-    samp_cfg = _build_dataclass(SamplingConfig, _load_json(args.config))
-    task = schema.task
-    tc = tables.tables[task.target_table]
-    if not 0 <= args.row < tc.n_rows:
-        raise ConfigError(f"row {args.row} out of range [0, {tc.n_rows})")
-    node = graph.node_id(task.target_table, args.row)
-    seed_time = float(tc.timestamps[task.seed_time_column][args.row])
-    sub = sample(graph, node, seed_time, embed, samp_cfg,
-                 skip_refinement=args.no_semantic_refinement)
+    model_cfg, _, samp_cfg = _configs(_load_json(args.config), args.seed)
+    n_rows = tables.tables[schema.task.target_table].n_rows
+    if not 0 <= args.row < n_rows:
+        raise ConfigError(f"row {args.row} out of range [0, {n_rows})")
+    # semantic refinement ranks by the tabular embeddings of this model
+    embed = EmbeddingCache(GelModel(model_cfg, schema, tables), graph, tables)
+    sub = sample_row(graph, schema, tables, args.row, embed, samp_cfg,
+                     AblationFlags(no_semantic_refinement=args.no_semantic_refinement))
     payload = json.dumps(subgraph_to_dict(sub))
     if args.out:
         with open(args.out, "w") as fh:
@@ -148,40 +167,30 @@ def cmd_sample(args) -> int:
 
 def cmd_train(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
-    model_cfg, train_cfg, samp_cfg, ablation = _run_configs(args, _load_json(args.config))
+    model_cfg, train_cfg, samp_cfg, ablation = _run_configs(args)
     model = GelModel(model_cfg, schema, tables)
     splits = temporal_split(schema, tables, SPLIT_FRACTIONS)
     os.makedirs(args.out, exist_ok=True)
     result = train(model, graph, schema, tables, splits, train_cfg, samp_cfg,
                    ablation, progress=not args.quiet)
-    name = _ablation_name(ablation)
-    for rec in result.records:
-        rec["ablation"] = name
-    write_metrics_jsonl(result.records, os.path.join(args.out, "metrics.jsonl"))
+    summary = _record_run(result, ablation, os.path.join(args.out, "metrics.jsonl"))
     nc.save_checkpoint(model.parameters(), os.path.join(args.out, "checkpoint"))
-    print(json.dumps({"ablation": name, "best_val_metric": result.best_metric,
-                      "test_metric": result.test_metric}))
+    print(json.dumps(summary))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
-    model_cfg, train_cfg, samp_cfg, ablation = _run_configs(args, _load_json(args.config))
+    model_cfg, train_cfg, samp_cfg, ablation = _run_configs(args)
     model = GelModel(model_cfg, schema, tables)
     nc.load_checkpoint(model.parameters(), args.checkpoint)
-    splits = temporal_split(schema, tables, SPLIT_FRACTIONS)
-    test_rows = splits[2]
+    test_rows = temporal_split(schema, tables, SPLIT_FRACTIONS)[2]
     embed = EmbeddingCache(model, graph, tables)
     rng = np.random.default_rng(train_cfg.rng_seed)
     scores = predict_rows(model, graph, schema, tables, test_rows, embed,
                           samp_cfg, ablation, train_cfg.rng_seed, rng)
-    from .trainer import _target_values, auc, mae
-    targets = _target_values(schema, tables)[test_rows]
-    if schema.task.kind == "binary_classification":
-        metric = {"auc": auc(scores, targets.astype(int))}
-    else:
-        metric = {"mae": mae(scores, targets)}
-    print(json.dumps({"n_test": len(test_rows), **metric}))
+    name, value = task_metric(schema, tables, test_rows, scores)
+    print(json.dumps({"n_test": len(test_rows), name: value}))
     return EXIT_OK
 
 
@@ -204,29 +213,17 @@ def cmd_verify(args) -> int:
 
 def cmd_ablate(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
-    raw = _load_json(args.config)
+    model_cfg, train_cfg, samp_cfg = _configs(_load_json(args.config), args.seed)
     splits = temporal_split(schema, tables, SPLIT_FRACTIONS)
-    variants = [
-        AblationFlags(),
-        AblationFlags(no_structural_sampling=True),
-        AblationFlags(no_semantic_refinement=True),
-        AblationFlags(no_gaussian_bias=True),
-        AblationFlags(no_gnn_branch=True),
-    ]
+    # the full model, then each switch on its own
+    variants = [AblationFlags()] + [AblationFlags(**{f.name: True})
+                                    for f in dataclasses.fields(AblationFlags)]
+    runs = run_ablation_sweep(graph, schema, tables, splits, model_cfg, train_cfg,
+                              samp_cfg, variants, [train_cfg.rng_seed])
     os.makedirs(args.out, exist_ok=True)
-    summary = []
-    for ablation in variants:
-        model_cfg, train_cfg, samp_cfg = _configs(raw, args.seed, ablation)
-        model = GelModel(model_cfg, schema, tables)
-        result = train(model, graph, schema, tables, splits, train_cfg,
-                       samp_cfg, ablation)
-        name = _ablation_name(ablation)
-        for rec in result.records:
-            rec["ablation"] = name
-        write_metrics_jsonl(result.records,
-                            os.path.join(args.out, f"metrics_{name}.jsonl"))
-        summary.append({"ablation": name, "best_val_metric": result.best_metric,
-                        "test_metric": result.test_metric})
+    summary = [_record_run(runs[train_cfg.rng_seed][v.name], v,
+                           os.path.join(args.out, f"metrics_{v.name}.jsonl"))
+               for v in variants]
     payload = json.dumps(summary, indent=1)
     with open(os.path.join(args.out, "ablation_summary.json"), "w") as fh:
         fh.write(payload + "\n")
@@ -240,10 +237,8 @@ def cmd_ablate(args) -> int:
 
 
 def _add_ablation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-structural-sampling", action="store_true")
-    p.add_argument("--no-semantic-refinement", action="store_true")
-    p.add_argument("--no-gaussian-bias", action="store_true")
-    p.add_argument("--no-gnn-branch", action="store_true")
+    for f in dataclasses.fields(AblationFlags):
+        p.add_argument("--" + f.name.replace("_", "-"), action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", type=int, required=True)
     p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--no-semantic-refinement", action="store_true")
     p.set_defaults(fn=cmd_sample)
 
@@ -304,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, SchemaError, TableDataError, nc.CheckpointError) as exc:
+    except (ConfigError, SchemaError, TableDataError, nc.CheckpointError,
+            MetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericAbort as exc:

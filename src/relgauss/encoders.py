@@ -7,7 +7,6 @@ down to width d by a 2-layer perceptron.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -18,28 +17,9 @@ from .numcore import Parameter, Tensor
 from .relstore import DatabaseSchema, RelGraph, TableData
 
 if TYPE_CHECKING:
-    from .model import BatchedSubgraphs
+    from .model import BatchedSubgraphs, ModelConfig
 
 SECONDS_PER_DAY = 86400.0
-
-
-@dataclass
-class EncoderConfig:
-    d: int = 512
-    n_node_types: int = 2
-    max_hop: int = 2
-    pe_dim: int = 128
-    gin_layers: int = 2
-
-    def __post_init__(self):
-        if self.d % 2:
-            raise ValueError("d must be even")
-        if self.pe_dim > self.d:
-            raise ValueError("pe_dim must not exceed d")
-
-    @property
-    def time_freqs(self) -> int:
-        return self.d // 2
 
 
 class Affine:
@@ -72,10 +52,9 @@ class Norm:
 
 
 class TypeEncoder:
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
-        self.n_types = config.n_node_types
-        self.table = Parameter(rng.normal(0.0, 0.1, size=(self.n_types, config.d)),
-                               "type.table")
+    def __init__(self, n_types: int, d: int, rng: np.random.Generator):
+        self.n_types = n_types
+        self.table = Parameter(rng.normal(0.0, 0.1, size=(n_types, d)), "type.table")
 
     def __call__(self, type_ids: np.ndarray) -> Tensor:
         type_ids = np.asarray(type_ids)
@@ -88,10 +67,9 @@ class TypeEncoder:
 
 
 class HopEncoder:
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
-        self.max_hop = config.max_hop
-        self.table = Parameter(rng.normal(0.0, 0.1, size=(config.max_hop + 1, config.d)),
-                               "hop.table")
+    def __init__(self, max_hop: int, d: int, rng: np.random.Generator):
+        self.max_hop = max_hop
+        self.table = Parameter(rng.normal(0.0, 0.1, size=(max_hop + 1, d)), "hop.table")
 
     def __call__(self, hops: np.ndarray) -> Tensor:
         hops = np.asarray(hops)
@@ -111,9 +89,8 @@ class TimeEncoder:
     learnable mask vector.
     """
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
-        d = config.d
-        j = np.arange(config.time_freqs)
+    def __init__(self, d: int, rng: np.random.Generator):
+        j = np.arange(d // 2)
         self.frequencies = np.power(10000.0, -2.0 * j / d)  # strictly decreasing
         self.proj = Affine("time.proj", d, d, rng)
         self.mask_vector = Parameter(rng.normal(0.0, 0.1, size=d), "time.mask")
@@ -147,9 +124,8 @@ class TabularEncoder:
     with a dedicated missing row.
     """
 
-    def __init__(self, config: EncoderConfig, schema: DatabaseSchema,
-                 tables: TableData, rng: np.random.Generator):
-        d = config.d
+    def __init__(self, d: int, schema: DatabaseSchema, tables: TableData,
+                 rng: np.random.Generator):
         self.d = d
         task = schema.task
         self.num_cols: dict[str, list[tuple[str, float, float]]] = {}
@@ -225,18 +201,16 @@ class TabularEncoder:
 class PositionalEncoder:
     """GIN over each subgraph's local edges, random-feature initialized."""
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
-        p = config.pe_dim
-        self.pe_dim = p
+    def __init__(self, pe_dim: int, n_layers: int, rng: np.random.Generator):
         self.layers = []
-        for k in range(config.gin_layers):
+        for k in range(n_layers):
             self.layers.append((
                 Parameter(np.zeros(()), f"pos.gin{k}.eps"),
-                Affine(f"pos.gin{k}.a1", p, p, rng),
-                Norm(f"pos.gin{k}.norm", p),
-                Affine(f"pos.gin{k}.a2", p, p, rng),
+                Affine(f"pos.gin{k}.a1", pe_dim, pe_dim, rng),
+                Norm(f"pos.gin{k}.norm", pe_dim),
+                Affine(f"pos.gin{k}.a2", pe_dim, pe_dim, rng),
             ))
-        self.out = Affine("pos.out", p, p, rng)
+        self.out = Affine("pos.out", pe_dim, pe_dim, rng)
 
     def __call__(self, batch: BatchedSubgraphs, init_features: np.ndarray) -> Tensor:
         h = Tensor(np.asarray(init_features, dtype=np.float64))
@@ -274,11 +248,10 @@ def positional_init(run_seed: int, global_ids: np.ndarray, pe_dim: int) -> np.nd
 class FeatureMixer:
     """Per-channel LayerNorm -> concat -> affine -> GELU -> affine to d."""
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
-        d = config.d
+    def __init__(self, d: int, pe_dim: int, rng: np.random.Generator):
         self.norms = [Norm(f"mix.norm{i}", d) for i in range(4)]
-        self.pos_norm = Norm("mix.norm_pos", config.pe_dim)
-        total = 4 * d + config.pe_dim
+        self.pos_norm = Norm("mix.norm_pos", pe_dim)
+        total = 4 * d + pe_dim
         self.a1 = Affine("mix.a1", total, d, rng)
         self.a2 = Affine("mix.a2", d, d, rng)
 
@@ -298,15 +271,16 @@ class FeatureMixer:
 class EncoderSuite:
     """All node encoders plus the mixer; produces the N x d input matrix."""
 
-    def __init__(self, config: EncoderConfig, schema: DatabaseSchema,
+    def __init__(self, config: ModelConfig, schema: DatabaseSchema,
                  tables: TableData, rng: np.random.Generator):
-        self.config = config
-        self.type_enc = TypeEncoder(config, rng)
-        self.hop_enc = HopEncoder(config, rng)
-        self.time_enc = TimeEncoder(config, rng)
-        self.tab_enc = TabularEncoder(config, schema, tables, rng)
-        self.pos_enc = PositionalEncoder(config, rng)
-        self.mixer = FeatureMixer(config, rng)
+        d = config.d
+        self.pe_dim = config.pe_dim
+        self.type_enc = TypeEncoder(len(schema.tables), d, rng)
+        self.hop_enc = HopEncoder(config.max_hop, d, rng)
+        self.time_enc = TimeEncoder(d, rng)
+        self.tab_enc = TabularEncoder(d, schema, tables, rng)
+        self.pos_enc = PositionalEncoder(config.pe_dim, config.gin_layers, rng)
+        self.mixer = FeatureMixer(d, config.pe_dim, rng)
 
     def encode_subgraph(self, sub: BatchedSubgraphs, graph: RelGraph,
                         tables: TableData, run_seed: int) -> Tensor:
@@ -315,7 +289,7 @@ class EncoderSuite:
         hop_e = self.hop_enc(sub.hop)
         time_e = self.time_enc(sub.delta_t)
         tab_e = self._encode_tabular(sub.nodes, graph, tables)
-        init = positional_init(run_seed, sub.nodes, self.config.pe_dim)
+        init = positional_init(run_seed, sub.nodes, self.pe_dim)
         pos_e = self.pos_enc(sub, init)
         return self.mixer(type_e, hop_e, time_e, tab_e, pos_e)
 

@@ -14,6 +14,7 @@ through a padded row index and scattered back to the rows.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import numcore as nc
 from .attention import PAD, AttentionLayer
-from .encoders import Affine, EncoderConfig, EncoderSuite
+from .encoders import Affine, EncoderSuite
 from .gnn import GnnBranch
 from .numcore import Parameter, Tensor
 from .relstore import DatabaseSchema, RelGraph, TableData
@@ -40,27 +41,34 @@ class ModelConfig:
     dropout: float = 0.3
     task_kind: str = "binary_classification"
     init_seed: int = 0
-    # ablation switches
-    no_gaussian_bias: bool = False
-    no_gnn_branch: bool = False
 
     def __post_init__(self):
         if self.n_layers < 1 or self.n_heads < 1:
             raise ValueError("n_layers and n_heads must be >= 1")
         if self.d % 2 or self.d % self.n_heads:
             raise ValueError("d must be even and divisible by n_heads")
-        if self.pe_dim > self.d:
-            raise ValueError("pe_dim must not exceed d")
+        if not 1 <= self.pe_dim <= self.d:
+            raise ValueError("pe_dim must be in [1, d]")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationFlags:
+    """Ablation switches: the sampler reads the first two, the model the rest."""
     no_structural_sampling: bool = False
     no_semantic_refinement: bool = False
     no_gaussian_bias: bool = False
     no_gnn_branch: bool = False
+
+    @property
+    def name(self) -> str:
+        """``full``, or the switches that are on, e.g. ``no-gaussian-bias``."""
+        on = [f.name.replace("_", "-") for f in dataclasses.fields(self)
+              if getattr(self, f.name)]
+        return "+".join(on) or "full"
 
 
 class GelModel:
@@ -69,10 +77,7 @@ class GelModel:
     def __init__(self, config: ModelConfig, schema: DatabaseSchema, tables: TableData):
         self.config = config
         rng = np.random.default_rng(config.init_seed)
-        enc_cfg = EncoderConfig(d=config.d, n_node_types=len(schema.tables),
-                                max_hop=config.max_hop, pe_dim=config.pe_dim,
-                                gin_layers=config.gin_layers)
-        self.encoders = EncoderSuite(enc_cfg, schema, tables, rng)
+        self.encoders = EncoderSuite(config, schema, tables, rng)
         self.attn_layers = [AttentionLayer(f"layer{k}.attn", config.d, config.n_heads,
                                            rng, dropout_rate=config.dropout)
                             for k in range(config.n_layers)]
@@ -118,15 +123,15 @@ class GelModel:
     def forward_batch(self, batch: "BatchedSubgraphs", tables: TableData,
                       graph: RelGraph, *, run_seed: int = 0,
                       training: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
+                      rng: np.random.Generator | None = None,
+                      ablation: AblationFlags = AblationFlags()) -> Tensor:
         """One score per subgraph of the batch, in batch order."""
-        cfg = self.config
         H = self.encoders.encode_subgraph(batch, graph, tables, run_seed)
         eta = self.eta()
         for attn, gnn in zip(self.attn_layers, self.gnn_layers):
-            H_attn = attn.attend(H, batch, use_bias=not cfg.no_gaussian_bias,
+            H_attn = attn.attend(H, batch, use_bias=not ablation.no_gaussian_bias,
                                  training=training, rng=rng)
-            if cfg.no_gnn_branch:
+            if ablation.no_gnn_branch:
                 H = H_attn
             else:
                 H_gnn = gnn(H, batch, training=training, rng=rng)

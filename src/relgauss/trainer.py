@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -9,7 +10,8 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import numcore as nc
-from .model import AblationFlags, GelModel, batch_subgraphs
+from .model import AblationFlags, GelModel, ModelConfig, batch_subgraphs
+from .model import loss as loss_fn
 from .numcore import Parameter
 from .relstore import DatabaseSchema, RelGraph, TableData
 from .sampler import SampledSubgraph, SamplingConfig, sample
@@ -45,6 +47,8 @@ class TrainConfig:
                      "warmup_steps", "micro_batch", "val_stride"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass
@@ -84,6 +88,10 @@ def adam_step(params: dict[str, Parameter], state: AdamState, lr: float,
 # ---------------------------------------------------------------------------
 
 
+class MetricError(ValueError):
+    """Raised when the scored rows cannot give the task's metric."""
+
+
 def auc(scores, labels) -> float:
     """Mann-Whitney AUC: correctly ranked (pos, neg) pairs, ties half."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -92,7 +100,7 @@ def auc(scores, labels) -> float:
     n_pos = int(pos.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("auc requires both classes present")
+        raise MetricError(f"auc needs both classes among the {len(labels)} scored rows")
     ranks = rankdata(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -102,10 +110,20 @@ def mae(scores, targets) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if scores.size == 0:
-        raise ValueError("mae of empty input")
+        raise MetricError("mae of no scored rows")
     if scores.shape != targets.shape:
         raise ValueError("length mismatch")
     return float(np.mean(np.abs(scores - targets)))
+
+
+def task_metric(schema: DatabaseSchema, tables: TableData, rows,
+                scores) -> tuple[str, float]:
+    """The task's metric of the scores of target-table rows: AUC for a
+    binary task, MAE for regression."""
+    targets = _target_values(schema, tables)[rows]
+    if schema.task.kind == "binary_classification":
+        return "auc", auc(scores, targets.astype(int))
+    return "mae", mae(scores, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +169,14 @@ def _target_values(schema: DatabaseSchema, tables: TableData) -> np.ndarray:
     return tables.tables[task.target_table].numerical[task.target_column]
 
 
-def _seed_info(schema: DatabaseSchema, tables: TableData, graph: RelGraph,
-               row: int) -> tuple[int, float]:
+def sample_row(graph: RelGraph, schema: DatabaseSchema, tables: TableData,
+               row: int, embed, samp_cfg: SamplingConfig, ablation: AblationFlags,
+               rng: np.random.Generator | None = None) -> SampledSubgraph:
+    """The subgraph sampled around target-table row ``row`` at its seed time."""
     task = schema.task
-    node = graph.node_id(task.target_table, row)
     seed_time = tables.tables[task.target_table].timestamps[task.seed_time_column][row]
-    return node, float(seed_time)
-
-
-def _sample_for_row(model, graph, schema, tables, row, embed, samp_cfg,
-                    ablation: AblationFlags,
-                    rng: np.random.Generator | None) -> SampledSubgraph:
-    node, seed_time = _seed_info(schema, tables, graph, row)
-    return sample(graph, node, seed_time, embed, samp_cfg,
+    return sample(graph, graph.node_id(task.target_table, row), float(seed_time),
+                  embed, samp_cfg,
                   skip_refinement=ablation.no_semantic_refinement,
                   random_stage1_rng=rng if ablation.no_structural_sampling else None)
 
@@ -178,11 +191,11 @@ def predict_rows(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     with nc.no_grad():
         for lo in range(0, len(rows), micro_batch):
             chunk = rows[lo:lo + micro_batch]
-            subs = [_sample_for_row(model, graph, schema, tables, row, embed,
-                                    samp_cfg, ablation, sampling_rng)
+            subs = [sample_row(graph, schema, tables, row, embed, samp_cfg,
+                               ablation, sampling_rng)
                     for row in chunk]
             out = model.forward_batch(batch_subgraphs(subs), tables, graph,
-                                      run_seed=run_seed, training=False)
+                                      run_seed=run_seed, ablation=ablation)
             scores[lo:lo + len(chunk)] = out.data
     return scores
 
@@ -190,10 +203,9 @@ def predict_rows(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
 def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
           tables: TableData, splits: tuple[list[int], list[int], list[int]],
           config: TrainConfig, samp_cfg: SamplingConfig,
-          ablation: AblationFlags | None = None,
+          ablation: AblationFlags = AblationFlags(),
           progress: bool = False) -> TrainResult:
     """Train with per-epoch embedding refresh; keeps the best-val snapshot."""
-    ablation = ablation or AblationFlags()
     task_kind = schema.task.kind
     train_rows, val_rows, test_rows = splits
     targets = _target_values(schema, tables)
@@ -211,8 +223,6 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     records: list[dict] = []
     global_step = 0
 
-    from .model import loss as loss_fn
-
     for epoch in range(1, config.epochs + 1):
         embed.refresh()
         order = np.array(train_rows)
@@ -229,12 +239,13 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
             total = None
             for lo in range(0, len(batch), config.micro_batch):
                 chunk = [int(r) for r in batch[lo:lo + config.micro_batch]]
-                subs = [_sample_for_row(model, graph, schema, tables, row,
-                                        embed, samp_cfg, ablation, sampling_rng)
+                subs = [sample_row(graph, schema, tables, row, embed, samp_cfg,
+                                   ablation, sampling_rng)
                         for row in chunk]
                 scores = model.forward_batch(batch_subgraphs(subs), tables,
                                              graph, run_seed=run_seed,
-                                             training=True, rng=rng)
+                                             training=True, rng=rng,
+                                             ablation=ablation)
                 item = loss_fn(scores, targets[chunk], task_kind).sum()
                 total = item if total is None else total + item
             batch_loss = total * (1.0 / len(batch))
@@ -255,10 +266,7 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
         val_scores = predict_rows(model, graph, schema, tables, val_sub, embed,
                                   samp_cfg, ablation, run_seed, eval_rng,
                                   micro_batch=config.micro_batch)
-        if task_kind == "binary_classification":
-            val_metric = auc(val_scores, targets[val_sub].astype(int))
-        else:
-            val_metric = mae(val_scores, targets[val_sub])
+        _, val_metric = task_metric(schema, tables, val_sub, val_scores)
         mus, sigmas = model.bias_snapshot()
         record = {
             "epoch": epoch,
@@ -284,13 +292,27 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     test_scores = predict_rows(model, graph, schema, tables, test_rows, embed,
                                samp_cfg, ablation, run_seed, test_rng,
                                micro_batch=config.micro_batch)
-    if task_kind == "binary_classification":
-        test_metric = auc(test_scores, targets[test_rows].astype(int))
-    else:
-        test_metric = mae(test_scores, targets[test_rows])
+    _, test_metric = task_metric(schema, tables, test_rows, test_scores)
     return TrainResult(records=records, best_params=best_params,
                        best_metric=best_metric, test_scores=test_scores,
                        test_metric=test_metric)
+
+
+def run_ablation_sweep(graph: RelGraph, schema: DatabaseSchema, tables: TableData,
+                       splits: tuple[list[int], list[int], list[int]],
+                       model_cfg: ModelConfig, train_cfg: TrainConfig,
+                       samp_cfg: SamplingConfig, variants: list[AblationFlags],
+                       seeds) -> dict[int, dict[str, TrainResult]]:
+    """Train a fresh model for each seed, then each variant, keyed by seed and
+    ``AblationFlags.name``. Only ``TrainConfig.rng_seed`` follows the seed."""
+    results: dict[int, dict[str, TrainResult]] = {}
+    for seed in seeds:
+        cfg = dataclasses.replace(train_cfg, rng_seed=seed)
+        for ablation in variants:
+            model = GelModel(model_cfg, schema, tables)
+            results.setdefault(seed, {})[ablation.name] = train(
+                model, graph, schema, tables, splits, cfg, samp_cfg, ablation)
+    return results
 
 
 def write_metrics_jsonl(records: list[dict], path: str) -> None:

@@ -183,11 +183,6 @@ def test_dropout_changes_training_output_only(layer, make_batch):
     assert not np.array_equal(eval_out.data, train_out.data)
 
 
-def test_head_count_must_divide_d():
-    with pytest.raises(ValueError):
-        AttentionLayer("L", d=8, n_heads=3, rng=np.random.default_rng(0))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.01, 20))
 def test_kernel_bounded_and_symmetric_property(dt, mu, sigma):

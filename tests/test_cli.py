@@ -1,13 +1,26 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relgauss import cli
 from relgauss import numcore as nc
 from relgauss.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                           EXIT_VERIFY_FAIL, main)
 from relgauss.model import GelModel, ModelConfig
+from relgauss.sampler import SamplingConfig
+from relgauss.trainer import TrainConfig
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -190,8 +203,21 @@ def test_train_unknown_config_section_field(gen_dir, tmp_path, capsys):
     assert "learning_rate" in err
 
 
-@pytest.mark.parametrize("raw, field", [({"train": {"micro_batch": 0}}, "micro_batch"),
-                                        ({"model": {"d": 30, "n_heads": 4}}, "n_heads")])
+@pytest.mark.parametrize("raw, field", [
+    ({"train": {"micro_batch": 0}}, "micro_batch"),
+    ({"model": {"d": 30, "n_heads": 4}}, "n_heads"),
+    # ablation switches are CLI flags only; as config fields they are unknown
+    ({"model": {"no_gaussian_bias": True}}, "no_gaussian_bias"),
+    ({"model": {"no_gnn_branch": True}}, "no_gnn_branch"),
+    ({"train": {"epochs": 1.5}}, "epochs"),
+    ({"train": {"epochs": True}}, "epochs"),
+    ({"model": {"dropout": False}}, "dropout"),
+    ({"model": None}, "ModelConfig"),
+    ({"sampling": [1]}, "SamplingConfig"),
+    ([1], "JSON object"),
+    ({"modle": {}}, "modle"),
+    ({"sampling": {"stage1_budget": 0, "stage2_keep": 0}}, "stage1_budget"),
+])
 def test_train_invalid_config_value_exits_2(gen_dir, tmp_path, capsys, raw, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
@@ -264,3 +290,114 @@ def test_eval_truncated_checkpoint_exits_2(trained, gen_dir, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert_one_error_line(err)
     assert "blob" in err
+
+
+TINY_RUN = {
+    "model": {"d": 8, "n_layers": 1, "n_heads": 2, "pe_dim": 4, "gin_layers": 1},
+    "train": {"epochs": 1, "max_steps_per_epoch": 1, "batch_size": 8, "micro_batch": 8},
+    "sampling": {"stage1_budget": 8, "stage2_keep": 4},
+}
+def _mostly(common, rare):
+    """Draws from ``common`` three times in four, else from ``rare``."""
+    return st.integers(0, 3).flatmap(lambda k: rare if k == 0 else common)
+
+
+# numbers from a small range only, so that every accepted config stays tiny;
+# mostly objects of ints, so that many drawn configs are accepted and train
+JSON_VALUE = st.one_of(st.none(), st.booleans(), st.floats(-2, 16),
+                       st.text(max_size=3), st.lists(st.integers(-2, 16), max_size=2))
+FIELD_VALUE = _mostly(st.integers(-2, 16), JSON_VALUE)
+
+
+def _section(cls):
+    keys = st.sampled_from([f.name for f in dataclasses.fields(cls)] + ["bogus"])
+    return _mostly(st.dictionaries(keys, FIELD_VALUE, max_size=2), FIELD_VALUE)
+
+
+RUN_CONFIG = _mostly(
+    st.fixed_dictionaries({}, optional={"model": _section(ModelConfig),
+                                        "train": _section(TrainConfig),
+                                        "sampling": _section(SamplingConfig)}),
+    st.one_of(FIELD_VALUE, st.fixed_dictionaries({"bogus": FIELD_VALUE})))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=RUN_CONFIG, flags=st.sets(st.sampled_from(
+    ["--no-structural-sampling", "--no-semantic-refinement", "--no-gaussian-bias",
+     "--no-gnn-branch"])))
+def test_any_run_config_trains_or_exits_with_one_line(gen_dir, raw, flags):
+    # each drawn section field overrides the tiny run's, which trains one step
+    if isinstance(raw, dict):
+        raw = {k: {**TINY_RUN[k], **v} if isinstance(v, dict) and k in TINY_RUN else v
+               for k, v in {**TINY_RUN, **raw}.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--data", str(gen_dir), "--config", cfg,
+                         "--out", os.path.join(tmp, "r"), "--quiet", *sorted(flags)])
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert code in (EXIT_CONFIG, EXIT_NUMERIC), code
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+
+
+def test_sample_reads_the_run_config(gen_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+
+    def hops(stage2_keep):
+        cfg.write_text(json.dumps(dict(TRAIN_CONFIG, sampling={
+            "stage1_budget": 100, "stage2_keep": stage2_keep})))
+        code, out, err = run(capsys, "sample", "--data", str(gen_dir), "--row", "0",
+                             "--config", str(cfg))
+        assert code == EXIT_OK, err
+        return json.loads(out)["hops"]
+
+    # stage 2 keeps the seed and its 1-hop candidates, then fills up to
+    # stage2_keep nodes with deeper ones
+    shallow = hops(1)
+    assert max(shallow) == 1
+    deep = hops(len(shallow) + 2)
+    assert deep[:len(shallow)] == shallow and deep[len(shallow):] == [2, 2]
+
+
+def test_ablate_runs_every_variant_like_train(gen_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    code, _, err = run(capsys, "ablate", "--data", str(gen_dir), "--config", str(cfg),
+                       "--out", str(tmp_path / "ab"), "--seed", "0")
+    assert code == EXIT_OK, err
+    summary = json.loads((tmp_path / "ab" / "ablation_summary.json").read_text())
+    names = ["full", "no-structural-sampling", "no-semantic-refinement",
+             "no-gaussian-bias", "no-gnn-branch"]
+    assert [s["ablation"] for s in summary] == names
+    for entry in summary:
+        name = entry["ablation"]
+        lines = (tmp_path / "ab" / f"metrics_{name}.jsonl").read_text().splitlines()
+        assert len(lines) == TRAIN_CONFIG["train"]["epochs"]
+        assert all(json.loads(line)["ablation"] == name for line in lines)
+        flag = [] if name == "full" else [f"--{name}"]
+        code, out, err = run(capsys, "train", "--data", str(gen_dir), "--config",
+                             str(cfg), "--out", str(tmp_path / name), "--seed", "0",
+                             "--quiet", *flag)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["test_metric"] == entry["test_metric"], name
+
+
+def test_ablation_study_script_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", "ablation_study.py"),
+         "--db", str(tmp_path / "db"), "--n-entities", "60", "--seeds", "1",
+         "--epochs", "1", "--out", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report["variants"]) == ["full", "no-gaussian-bias",
+                                        "no-semantic-refinement"]
+    assert all(len(v) == 1 for v in report["variants"].values())
+    assert set(report["margins"]) == {"no-gaussian-bias", "no-semantic-refinement"}

@@ -3,7 +3,7 @@ import pytest
 
 from relgauss import numcore as nc
 from relgauss.attention import PAD
-from relgauss.encoders import EncoderConfig, PositionalEncoder
+from relgauss.encoders import PositionalEncoder
 from relgauss.gnn import GnnBranch, SageLayer
 from relgauss.numcore import Tensor
 
@@ -27,7 +27,7 @@ def test_batched_neighbour_sums_match_each_subgraph(make_batch):
     assert (batch.index == PAD).any()
     H = rng.normal(size=(10, 3))
     feats = rng.normal(size=(10, 4))
-    gin = PositionalEncoder(EncoderConfig(d=8, pe_dim=4), rng)
+    gin = PositionalEncoder(4, 2, rng)
     with nc.no_grad():
         # the neighbour mean of every SAGE layer
         mean = batch.propagate(batch.mean_adjacency, Tensor(H)).data

@@ -55,10 +55,11 @@ def make_model(tiny_db, **over):
     return GelModel(ModelConfig(**{**CFG, **over}), schema, tables)
 
 
-def score_one(model, sub, tiny_db):
+def score_one(model, sub, tiny_db, ablation=AblationFlags()):
     """The (1,) score of one subgraph: forward_batch on a batch of one."""
     schema, tables, graph = tiny_db
-    return model.forward_batch(batch_subgraphs([sub]), tables, graph, run_seed=0)
+    return model.forward_batch(batch_subgraphs([sub]), tables, graph, run_seed=0,
+                               ablation=ablation)
 
 
 def subgraphs_for(tiny_db, model):
@@ -199,29 +200,29 @@ def test_forward_batch_gradients_match_per_example(tiny_db):
 
 
 def test_no_gaussian_bias_flag_changes_output(tiny_db):
-    base = make_model(tiny_db)
-    nobias = make_model(tiny_db, no_gaussian_bias=True)
-    sub = subgraphs_for(tiny_db, base)[0]
+    model = make_model(tiny_db)
+    sub = subgraphs_for(tiny_db, model)[0]
     # perturb mu so the bias is not trivially flat across pairs
-    for m in (base, nobias):
-        for a in m.attn_layers:
-            a.bias.mu.data[:] = 3.0
-            a.bias.rho.data[:] = 0.0
+    for a in model.attn_layers:
+        a.bias.mu.data[:] = 3.0
+        a.bias.rho.data[:] = 0.0
     with nc.no_grad():
-        s_b = score_one(base, sub, tiny_db).data[0]
-        s_n = score_one(nobias, sub, tiny_db).data[0]
+        s_b = score_one(model, sub, tiny_db).data[0]
+        s_n = score_one(model, sub, tiny_db, AblationFlags(no_gaussian_bias=True)).data[0]
     assert s_b != s_n
 
 
 def test_no_gnn_branch_flag(tiny_db):
-    model = make_model(tiny_db, no_gnn_branch=True)
+    model = make_model(tiny_db)
     sub = subgraphs_for(tiny_db, model)[0]
+    no_gnn = AblationFlags(no_gnn_branch=True)
     # eta must not influence the attention-only path
     with nc.no_grad():
-        s1 = score_one(model, sub, tiny_db).data[0]
+        s1 = score_one(model, sub, tiny_db, no_gnn).data[0]
         model.eta_raw.data = np.array(5.0)
-        s2 = score_one(model, sub, tiny_db).data[0]
-    assert s1 == s2
+        s2 = score_one(model, sub, tiny_db, no_gnn).data[0]
+        s3 = score_one(model, sub, tiny_db).data[0]
+    assert s1 == s2 != s3
 
 
 def test_gradients_reach_all_blocks(tiny_db):
@@ -240,3 +241,10 @@ def test_ablation_flags_defaults():
     flags = AblationFlags()
     assert not any((flags.no_structural_sampling, flags.no_semantic_refinement,
                     flags.no_gaussian_bias, flags.no_gnn_branch))
+
+
+def test_ablation_flag_names():
+    assert AblationFlags().name == "full"
+    assert AblationFlags(no_gaussian_bias=True).name == "no-gaussian-bias"
+    assert AblationFlags(no_structural_sampling=True,
+                         no_gnn_branch=True).name == "no-structural-sampling+no-gnn-branch"
