@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 
 import numpy as np
@@ -25,14 +26,18 @@ from relgauss.trainer import TrainConfig, run_ablation_sweep
 
 VARIANTS = [AblationFlags(), AblationFlags(no_gaussian_bias=True),
             AblationFlags(no_semantic_refinement=True)]
+# the generator settings of a database the script makes; it records them in
+# the database's synth_config.json and checks them there when it reuses one
+SYNTH = {"n_entities": 2000, "noise_event_fraction": 0.65}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--db", default="/tmp/relgauss-benchmark",
-                    help="database directory (generated if absent)")
-    ap.add_argument("--n-entities", type=int, default=2000)
-    ap.add_argument("--noise-event-fraction", type=float, default=0.65)
+    ap.add_argument("--db", required=True, help="database directory (generated if absent)")
+    ap.add_argument("--n-entities", type=int,
+                    help=f"entities of a generated database (default {SYNTH['n_entities']})")
+    ap.add_argument("--noise-event-fraction", type=float,
+                    help=f"of a generated database (default {SYNTH['noise_event_fraction']})")
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--epochs", type=int, default=7)
     ap.add_argument("--lr", type=float, default=1e-4)
@@ -40,10 +45,23 @@ def main() -> None:
     ap.add_argument("--out", default=None, help="optional JSON report path")
     args = ap.parse_args()
 
+    given = {k: getattr(args, k) for k in SYNTH if getattr(args, k) is not None}
+    record = os.path.join(args.db, "synth_config.json")
     if not os.path.exists(os.path.join(args.db, "schema.json")):
-        write_db(SynthConfig(n_entities=args.n_entities, rng_seed=0,
-                             noise_event_fraction=args.noise_event_fraction),
-                 args.db)
+        synth = {**SYNTH, **given}
+        write_db(SynthConfig(rng_seed=0, **synth), args.db)
+        with open(record, "w") as fh:
+            json.dump(synth, fh)
+    elif given:
+        try:
+            with open(record) as fh:
+                made = json.load(fh)
+        except (OSError, ValueError):
+            made = {}
+        if any(made.get(k) != v for k, v in given.items()):
+            print(f"error: {args.db} exists and was not generated with {given} "
+                  f"(its {record}: {made or 'missing'})", file=sys.stderr)
+            sys.exit(2)
     schema = load_schema(os.path.join(args.db, "schema.json"))
     tables = load_tables(schema, args.db)
     graph = build_graph(schema, tables)

@@ -39,7 +39,6 @@ class ModelConfig:
     gin_layers: int = 2
     max_hop: int = 2
     dropout: float = 0.3
-    task_kind: str = "binary_classification"
     init_seed: int = 0
 
     def __post_init__(self):

@@ -9,11 +9,13 @@ reachable but always count as "in the past".
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -123,17 +125,25 @@ def _parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
+# codes in TableColumns.fk_rows for a cell that names no row
+NULL_FK = -1       # a blank cell
+DANGLING_FK = -2   # a key that is no primary key of the target table
+# per column kind stored as float64: the dtype a whole column is cast to
+# first, the parser of one cell where that fails, and the value of a blank
+FLOAT_KINDS = {"numerical": (np.float64, float, np.nan),
+               "timestamp": (np.int64, _parse_timestamp, NO_TIMESTAMP)}
+
+
 @dataclass
 class TableColumns:
     """Typed column storage for one table."""
     n_rows: int
-    pk: list[str]
-    pk_index: dict[str, int]
+    pk: np.ndarray                            # str, primary key per row
     numerical: dict[str, np.ndarray]          # float64, NaN = missing
     categorical: dict[str, np.ndarray]        # int64 dense ids, -1 = missing
     categorical_vocab: dict[str, list[str]]   # first-seen interning order
     timestamps: dict[str, np.ndarray]         # float64 epoch seconds (-inf = missing)
-    foreign: dict[str, list[str | None]]      # raw FK values, None = null cell
+    fk_rows: dict[str, np.ndarray]            # int64 target row, NULL_FK or DANGLING_FK
 
 
 @dataclass
@@ -142,65 +152,126 @@ class TableData:
 
 
 def load_tables(schema: DatabaseSchema, directory: str) -> TableData:
-    """Read one <table>.csv per schema table and type every column."""
+    """Read one <table>.csv per schema table and type every column.
+
+    numpy's C reader splits a file into cells in one pass and parses its
+    numerical columns to float64. Every other column is cast from the cell
+    text as a whole (timestamps by ``int``); a column that does not cast (a
+    blank cell, an ISO time) is parsed cell by cell, so every value and
+    error is the one ``float`` or ``_parse_timestamp`` gives.
+    """
     out: dict[str, TableColumns] = {}
     for tname, cols in schema.tables:
         path = os.path.join(directory, f"{tname}.csv")
         if not os.path.exists(path):
             raise TableDataError(f"missing table file {path}")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise TableDataError(f"{path} is empty")
-            expected = [c.name for c in cols]
-            if header != expected:
-                raise TableDataError(
-                    f"{path} header mismatch: got {header}, expected {expected}")
-            rows = list(reader)
-
-        n = len(rows)
-        tc = TableColumns(n_rows=n, pk=[], pk_index={}, numerical={}, categorical={},
-                          categorical_vocab={}, timestamps={}, foreign={})
-        for j, c in enumerate(cols):
-            raw = [r[j] for r in rows]
-            if c.kind == "primary_key":
-                for i, v in enumerate(raw):
-                    if v in tc.pk_index:
-                        raise TableDataError(
-                            f"duplicate primary key {v!r} in table {tname!r}")
-                    tc.pk_index[v] = i
-                tc.pk = raw
-            elif c.kind == "numerical":
-                vals = np.full(n, np.nan)
-                for i, v in enumerate(raw):
-                    if v.strip():
-                        vals[i] = float(v)
-                tc.numerical[c.name] = vals
-            elif c.kind == "categorical":
-                vocab: list[str] = []
-                interned: dict[str, int] = {}
-                ids = np.full(n, -1, dtype=np.int64)
-                for i, v in enumerate(raw):
-                    if not v.strip():
-                        continue
-                    if v not in interned:
-                        interned[v] = len(vocab)
-                        vocab.append(v)
-                    ids[i] = interned[v]
-                tc.categorical[c.name] = ids
-                tc.categorical_vocab[c.name] = vocab
-            elif c.kind == "timestamp":
-                ts = np.full(n, NO_TIMESTAMP)
-                for i, v in enumerate(raw):
-                    if v.strip():
-                        ts[i] = _parse_timestamp(v)
-                tc.timestamps[c.name] = ts
-            elif c.kind == "foreign_key":
-                tc.foreign[c.name] = [v if v.strip() else None for v in raw]
-        out[tname] = tc
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                out[tname] = _read_table(fh, path, tname, cols)
+        except UnicodeDecodeError as exc:
+            raise TableDataError(f"{path} is not UTF-8 text: {exc}") from exc
+    for tname, cols in schema.tables:
+        fk_rows = out[tname].fk_rows
+        for c in cols:
+            if c.kind == "foreign_key":  # its keys' text until here
+                fk_rows[c.name] = _key_rows(fk_rows[c.name], out[c.target_table].pk)
     return TableData(tables=out)
+
+
+def _read_table(fh, path: str, tname: str, cols: list[ColumnSpec]) -> TableColumns:
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TableDataError(f"{path} is empty")
+    expected = [c.name for c in cols]
+    if header != expected:
+        raise TableDataError(f"{path} header mismatch: got {header}, expected {expected}")
+
+    def read(parse_numbers: bool):
+        # every column, so that a row with too few or too many cells fails
+        dtype = [(f"c{j}", np.float64 if parse_numbers and c.kind == "numerical" else object)
+                 for j, c in enumerate(cols)]
+        fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # blank lines, no rows
+            return np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None,
+                              skiprows=reader.line_num, ndmin=1)
+
+    def line(row: int) -> int:
+        return next(itertools.islice(_csv_rows(fh), row, None))[0]
+
+    try:
+        rec = read(parse_numbers=True)
+    except ValueError:
+        try:
+            rec = read(parse_numbers=False)
+        except ValueError as exc:
+            for n, cells in _csv_rows(fh):
+                if len(cells) != len(cols):
+                    raise TableDataError(f"{path} line {n}: " + (
+                        f"no cell for column {expected[len(cells)]!r}" if len(cells) < len(cols)
+                        else f"a cell past the last column {expected[-1]!r}")) from exc
+            raise TableDataError(f"{path}: {exc}") from exc
+
+    tc = TableColumns(n_rows=len(rec), pk=np.empty(0, dtype=str), numerical={}, categorical={},
+                      categorical_vocab={}, timestamps={}, fk_rows={})
+    for j, c in enumerate(cols):
+        cells = rec[f"c{j}"]
+        if c.kind in FLOAT_KINDS:
+            dtype, parse, missing = FLOAT_KINDS[c.kind]
+            try:  # float() or int() of every cell where numpy has not parsed them
+                values = cells.astype(dtype).astype(np.float64, copy=False)
+            except (ValueError, OverflowError):
+                values = np.full(len(cells), missing)
+                for i, v in enumerate(cells.tolist()):
+                    if v.strip():
+                        try:
+                            values[i] = parse(v)
+                        except (ValueError, OverflowError) as exc:
+                            raise TableDataError(f"{path} line {line(i)} column {c.name!r}: "
+                                                 f"{exc}") from exc
+            (tc.numerical if c.kind == "numerical" else tc.timestamps)[c.name] = values
+            continue
+        cells = cells.astype(str)
+        if c.kind == "primary_key":
+            tc.pk = cells
+            order = np.argsort(cells, kind="stable")
+            repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+            if len(repeats):  # the first repeat in row order
+                row = int(repeats.min())
+                raise TableDataError(f"{path} line {line(row)}: duplicate primary key "
+                                     f"{str(cells[row])!r} in table {tname!r}")
+        elif c.kind == "categorical":
+            filled = np.flatnonzero(np.char.strip(cells) != "")
+            vocab, first, inverse = np.unique(cells[filled], return_index=True,
+                                              return_inverse=True)
+            by_first = np.argsort(first)  # the vocabulary in first-seen order
+            tc.categorical[c.name] = np.full(len(cells), -1, dtype=np.int64)
+            tc.categorical[c.name][filled] = np.argsort(by_first)[inverse.reshape(-1)]
+            tc.categorical_vocab[c.name] = vocab[by_first].tolist()
+        else:  # a foreign key; load_tables finds its rows once every table is read
+            tc.fk_rows[c.name] = cells
+    return tc
+
+
+def _key_rows(cells: np.ndarray, pk: np.ndarray) -> np.ndarray:
+    """The row whose primary key each cell names, by binary search in the sorted keys."""
+    order = np.argsort(pk)
+    pos = np.searchsorted(pk[order], cells)
+    found = pos < len(pk)
+    found[found] = pk[order[pos[found]]] == cells[found]
+    rows = np.full(len(cells), DANGLING_FK, dtype=np.int64)
+    rows[found] = order[pos[found]]
+    rows[np.char.strip(cells) == ""] = NULL_FK
+    return rows
+
+
+def _csv_rows(fh):
+    """(line, cells) of each data row as csv.reader splits the file."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    return ((reader.line_num, cells) for cells in itertools.islice(reader, 1, None) if cells)
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -330,13 +401,9 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
             fwd = f"{tname}.{c.name}"
             rev = reverse_edge_type(fwd)
             edge_types.extend([fwd, rev])
-            values = tc.foreign[c.name]
-            pk_index = tables.tables[c.target_table].pk_index
-            # target row per cell; -1 for a null cell and for a dangling key
-            target = np.fromiter((pk_index.get(v, -1) for v in values),
-                                 dtype=np.int64, count=len(values))
+            target = tc.fk_rows[c.name]
             valid = target >= 0
-            dangling += len(values) - int(valid.sum()) - values.count(None)
+            dangling += int(np.count_nonzero(target == DANGLING_FK))
             src = offsets[tname] + np.flatnonzero(valid)
             dst = offsets[c.target_table] + target[valid]
             adjacency[fwd] = CsrAdjacency.from_pairs(src, dst, total)
@@ -351,8 +418,3 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
                     edge_types=edge_types, adjacency=adjacency,
                     merged_adjacency=merged, dangling_fk_count=dangling)
 
-
-def neighbors(graph: RelGraph, node: int, edge_type: str) -> list[int]:
-    if edge_type not in graph.adjacency:
-        raise KeyError(f"unknown edge type {edge_type!r}")
-    return graph.adjacency[edge_type][node].tolist()

@@ -194,14 +194,10 @@ def recompute_labels(config: SynthConfig, schema: DatabaseSchema,
     """Independent re-application of the planted rule to loaded tables."""
     entities = tables.tables["entities"]
     events = tables.tables["events"]
-    relevant = np.zeros(entities.n_rows, dtype=np.int64)
-    taus = events.timestamps["event_time"]
-    inten = events.numerical["intensity"]
-    for i, owner in enumerate(events.foreign["entity_id"]):
-        row = entities.pk_index[owner]
-        if abs(taus[i] - config.t_star) <= config.w and inten[i] >= SIGNAL_THRESHOLD:
-            relevant[row] += 1
-    return (relevant >= config.k_min).astype(np.int64)
+    in_window = np.abs(events.timestamps["event_time"] - config.t_star) <= config.w
+    relevant = in_window & (events.numerical["intensity"] >= SIGNAL_THRESHOLD)
+    owners = events.fk_rows["entity_id"][relevant]
+    return (np.bincount(owners, minlength=entities.n_rows) >= config.k_min).astype(np.int64)
 
 
 def temporal_split(schema: DatabaseSchema, tables: TableData,

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -217,6 +218,8 @@ def test_train_unknown_config_section_field(gen_dir, tmp_path, capsys):
     ([1], "JSON object"),
     ({"modle": {}}, "modle"),
     ({"sampling": {"stage1_budget": 0, "stage2_keep": 0}}, "stage1_budget"),
+    # the task kind comes from the schema; a config field for it is unknown
+    ({"model": {"task_kind": "regression"}}, "task_kind"),
 ])
 def test_train_invalid_config_value_exits_2(gen_dir, tmp_path, capsys, raw, field):
     cfg = tmp_path / "cfg.json"
@@ -388,16 +391,56 @@ def test_ablate_runs_every_variant_like_train(gen_dir, tmp_path, capsys):
         assert json.loads(out)["test_metric"] == entry["test_metric"], name
 
 
-def test_ablation_study_script_runs(tmp_path):
+def run_ablation_script(*args):
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(REPO, "scripts", "ablation_study.py"),
-         "--db", str(tmp_path / "db"), "--n-entities", "60", "--seeds", "1",
-         "--epochs", "1", "--out", str(tmp_path / "report.json")],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, os.path.join(REPO, "scripts", "ablation_study.py"),
+                           *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_ablation_study_script_runs(tmp_path):
+    proc = run_ablation_script("--db", str(tmp_path / "db"), "--n-entities", "60",
+                               "--seeds", "1", "--epochs", "1",
+                               "--out", str(tmp_path / "report.json"))
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     assert list(report["variants"]) == ["full", "no-gaussian-bias",
                                         "no-semantic-refinement"]
     assert all(len(v) == 1 for v in report["variants"].values())
     assert set(report["margins"]) == {"no-gaussian-bias", "no-semantic-refinement"}
+    # the database now exists: a generator flag must match how it was made
+    for flag, value in (("--n-entities", "30"), ("--noise-event-fraction", "0.1")):
+        proc = run_ablation_script("--db", str(tmp_path / "db"), flag, value)
+        assert proc.returncode == EXIT_CONFIG
+        assert_one_error_line(proc.stderr)
+        assert flag[2:].replace("-", "_") in proc.stderr
+
+
+def test_ablation_study_script_rejects_flags_for_a_db_of_unknown_make(gen_dir):
+    proc = run_ablation_script("--db", str(gen_dir), "--n-entities", "50")
+    assert proc.returncode == EXIT_CONFIG
+    assert_one_error_line(proc.stderr)
+
+
+def bad_events_db(gen_dir, tmp_path, row):
+    db = tmp_path / "db"
+    shutil.copytree(gen_dir, db)
+    with open(db / "events.csv", "a") as fh:
+        fh.write(row)
+    with open(db / "events.csv") as fh:
+        return db, sum(1 for _ in fh)
+
+
+@pytest.mark.parametrize("row, column", [
+    ("evX,e0,e1,5,0.5\n", "magnitude"),          # a cell short
+    ("evX,e0,e1,5,0.5,0.1,7\n", "magnitude"),    # a cell over
+    ("evX,e0,e1,5,abc,0.1\n", "intensity"),      # not a number
+])
+def test_train_on_a_bad_csv_row_exits_2(gen_dir, tmp_path, capsys, row, column):
+    db, last_line = bad_events_db(gen_dir, tmp_path, row)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    code, _, err = run(capsys, "train", "--data", str(db), "--config", str(cfg),
+                       "--out", str(tmp_path / "r"), "--quiet")
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "events.csv" in err and f"line {last_line}" in err and repr(column) in err

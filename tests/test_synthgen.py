@@ -43,10 +43,9 @@ def test_every_event_precedes_owner_seed_time(small_db):
     cfg, schema, tables = small_db
     entities = tables.tables["entities"]
     events = tables.tables["events"]
-    seed_times = entities.timestamps["seed_time"]
-    for i, owner in enumerate(events.foreign["entity_id"]):
-        assert events.timestamps["event_time"][i] < \
-            seed_times[entities.pk_index[owner]]
+    owners = events.fk_rows["entity_id"]
+    assert (owners >= 0).all()
+    assert (events.timestamps["event_time"] < entities.timestamps["seed_time"][owners]).all()
 
 
 def test_no_noise_kmin_one_any_in_window_event_is_positive(tmp_path):
@@ -56,9 +55,9 @@ def test_no_noise_kmin_one_any_in_window_event_is_positive(tmp_path):
     entities = tables.tables["entities"]
     events = tables.tables["events"]
     has_in_window = np.zeros(entities.n_rows, dtype=bool)
-    for i, owner in enumerate(events.foreign["entity_id"]):
+    for i, owner in enumerate(events.fk_rows["entity_id"]):
         if abs(events.timestamps["event_time"][i] - cfg.t_star) <= cfg.w:
-            has_in_window[entities.pk_index[owner]] = True
+            has_in_window[owner] = True
     labels = entities.numerical["label"].astype(int)
     np.testing.assert_array_equal(labels, has_in_window.astype(int))
 
@@ -79,9 +78,9 @@ def test_partner_edges_give_two_hop_entity_neighbors(small_db):
                                      "events.partner_id", "events.partner_id_rev"}
     # partner is never the owner
     events = tables.tables["events"]
-    for own, partner in zip(events.foreign["entity_id"],
-                            events.foreign["partner_id"]):
-        assert own != partner
+    owners, partners = events.fk_rows["entity_id"], events.fk_rows["partner_id"]
+    assert (owners >= 0).all() and (partners >= 0).all()
+    assert (owners != partners).all()
 
 
 def test_in_window_intensity_separates_classes(small_db):
@@ -90,8 +89,7 @@ def test_in_window_intensity_separates_classes(small_db):
     entities = tables.tables["entities"]
     labels = entities.numerical["label"].astype(int)
     in_win = np.abs(events.timestamps["event_time"] - cfg.t_star) <= cfg.w
-    owner_rows = np.array([entities.pk_index[o]
-                           for o in events.foreign["entity_id"]])
+    owner_rows = events.fk_rows["entity_id"]
     pos_in = events.numerical["intensity"][in_win & (labels[owner_rows] == 1)]
     assert (pos_in >= SIGNAL_THRESHOLD).mean() > 0.9
     # out-of-window intensity is class-uninformative: both classes see the
