@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numcore as nc
 from .encoders import SECONDS_PER_DAY, Affine
-from .numcore import Parameter, Tensor
+from .numcore import Module, Parameter, Tensor
 
 if TYPE_CHECKING:
     from .model import BatchedSubgraphs
@@ -55,7 +55,7 @@ def grad_mu_closed_form(delta_t: float, mu: float, sigma: float) -> float:
     return gaussian_kernel(delta_t, mu, sigma) * (delta_t - mu) / sigma**2
 
 
-class GaussianBiasParams:
+class GaussianBiasParams(Module):
     """Per-head (mu, sigma, affine) of the temporal bias, all in days."""
 
     def __init__(self, name: str, n_heads: int, mu_init_days: float = 0.0,
@@ -69,9 +69,6 @@ class GaussianBiasParams:
 
     def sigma_values(self) -> np.ndarray:
         return np.logaddexp(0.0, self.rho.data) + SIGMA_MIN_DAYS
-
-    def parameters(self):
-        return [self.mu, self.rho, self.proj_scale, self.proj_shift]
 
 
 def pairwise_delta_days(delta_t_seconds: np.ndarray) -> np.ndarray:
@@ -88,7 +85,7 @@ def pairwise_delta_days(delta_t_seconds: np.ndarray) -> np.ndarray:
     return d
 
 
-class AttentionLayer:
+class AttentionLayer(Module):
     def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator,
                  dropout_rate: float = 0.3):
         self.d = d
@@ -102,8 +99,7 @@ class AttentionLayer:
         self.bias = GaussianBiasParams(f"{name}.bias", n_heads)
 
     def attend(self, H: Tensor, batch: BatchedSubgraphs, *,
-               use_bias: bool = True, training: bool = False,
-               rng: np.random.Generator | None = None,
+               use_bias: bool = True, rng: np.random.Generator | None = None,
                return_weights: bool = False):
         """Biased multi-head attention over each subgraph's complete graph.
 
@@ -112,13 +108,14 @@ class AttentionLayer:
         get ``MASK_NEG``, and the outputs are unpadded back to the rows of
         ``H``, so no row attends outside its own subgraph. With
         ``return_weights`` the softmax weights come back too, one
-        (B, n_max, n_max) array per head.
+        (B, n_max, n_max) array per head. Dropout on the weights runs only
+        when ``rng`` is given.
         """
         n_rows = H.shape[0]
         pad = batch.index == PAD
 
         def heads(W: Parameter, axes: tuple[int, ...]) -> Tensor:
-            X = nc.matmul(H, W.t()).reshape(n_rows, self.n_heads, self.head_dim)
+            X = nc.linear(H, W).reshape(n_rows, self.n_heads, self.head_dim)
             return batch.pad(X).transpose(*axes)
 
         Q = heads(self.W_Q, (0, 2, 1, 3))    # (B, heads, n_max, head_dim)
@@ -138,14 +135,9 @@ class AttentionLayer:
         alpha = nc.softmax_rows(scores)
         if return_weights:
             weights = [alpha.data[:, h].copy() for h in range(self.n_heads)]
-        if training and self.dropout_rate > 0 and rng is not None:
-            alpha = nc.dropout(alpha, self.dropout_rate, rng, training)
+        alpha = nc.dropout(alpha, self.dropout_rate, rng)
         Y = nc.bmm(alpha, V).transpose(0, 2, 1, 3)  # (B, n_max, heads, head_dim)
         out = self.out(batch.unpad(Y).reshape(n_rows, self.d))
         if return_weights:
             return out, weights
         return out
-
-    def parameters(self):
-        return ([self.W_Q, self.W_K, self.W_V] + self.out.parameters()
-                + self.bias.parameters())

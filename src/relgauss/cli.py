@@ -188,7 +188,8 @@ def cmd_eval(args) -> int:
     embed = EmbeddingCache(model, graph, tables)
     rng = np.random.default_rng(train_cfg.rng_seed)
     scores = predict_rows(model, graph, schema, tables, test_rows, embed,
-                          samp_cfg, ablation, train_cfg.rng_seed, rng)
+                          samp_cfg, ablation, train_cfg.rng_seed, rng,
+                          micro_batch=train_cfg.micro_batch)
     name, value = task_metric(schema, tables, test_rows, scores)
     print(json.dumps({"n_test": len(test_rows), name: value}))
     return EXIT_OK

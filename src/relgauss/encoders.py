@@ -3,6 +3,9 @@
 Five per-node channels (type, hop, time delta, tabular row, structural
 position) are produced independently, layer-normed, concatenated and mixed
 down to width d by a 2-layer perceptron.
+
+Every layer is an ``nc.Module``; the names given to its parameters here
+are their names in a checkpoint.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numcore as nc
-from .numcore import Parameter, Tensor
+from .numcore import Module, Parameter, Tensor
 from .relstore import DatabaseSchema, RelGraph, TableData
 
 if TYPE_CHECKING:
@@ -22,7 +25,7 @@ if TYPE_CHECKING:
 SECONDS_PER_DAY = 86400.0
 
 
-class Affine:
+class Affine(Module):
     """y = x @ W.T + b with fan-in scaled init."""
 
     def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator):
@@ -33,11 +36,8 @@ class Affine:
     def __call__(self, x: Tensor) -> Tensor:
         return nc.linear(x, self.W, self.b)
 
-    def parameters(self):
-        return [self.W, self.b]
 
-
-class Norm:
+class Norm(Module):
     """LayerNorm gain/shift pair."""
 
     def __init__(self, name: str, d: int):
@@ -47,41 +47,35 @@ class Norm:
     def __call__(self, x: Tensor) -> Tensor:
         return nc.layer_norm(x, self.gain, self.shift)
 
-    def parameters(self):
-        return [self.gain, self.shift]
+
+class ResidualBlock(Module):
+    """h + a2(GELU(LayerNorm(a1(x)))), with x = h unless given."""
+
+    def __init__(self, name: str, d: int, rng: np.random.Generator):
+        self.a1 = Affine(f"{name}.a1", d, d, rng)
+        self.norm = Norm(f"{name}.norm", d)
+        self.a2 = Affine(f"{name}.a2", d, d, rng)
+
+    def __call__(self, h: Tensor, x: Tensor | None = None) -> Tensor:
+        return h + self.a2(nc.gelu(self.norm(self.a1(h if x is None else x))))
 
 
-class TypeEncoder:
-    def __init__(self, n_types: int, d: int, rng: np.random.Generator):
-        self.n_types = n_types
-        self.table = Parameter(rng.normal(0.0, 0.1, size=(n_types, d)), "type.table")
+class Embedding(Module):
+    """Lookup table of ``n_rows`` learnable d-vectors, ids range-checked."""
 
-    def __call__(self, type_ids: np.ndarray) -> Tensor:
-        type_ids = np.asarray(type_ids)
-        if type_ids.min(initial=0) < 0 or type_ids.max(initial=0) >= self.n_types:
-            raise IndexError(f"type id out of range [0, {self.n_types})")
-        return nc.rows(self.table, type_ids)
+    def __init__(self, name: str, n_rows: int, d: int, rng: np.random.Generator):
+        self.name = name
+        self.table = Parameter(rng.normal(0.0, 0.1, size=(n_rows, d)), f"{name}.table")
 
-    def parameters(self):
-        return [self.table]
-
-
-class HopEncoder:
-    def __init__(self, max_hop: int, d: int, rng: np.random.Generator):
-        self.max_hop = max_hop
-        self.table = Parameter(rng.normal(0.0, 0.1, size=(max_hop + 1, d)), "hop.table")
-
-    def __call__(self, hops: np.ndarray) -> Tensor:
-        hops = np.asarray(hops)
-        if hops.min(initial=0) < 0 or hops.max(initial=0) > self.max_hop:
-            raise IndexError(f"hop out of range [0, {self.max_hop}]")
-        return nc.rows(self.table, hops)
-
-    def parameters(self):
-        return [self.table]
+    def __call__(self, ids: np.ndarray) -> Tensor:
+        ids = np.asarray(ids)
+        n_rows = self.table.shape[0]
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= n_rows:
+            raise IndexError(f"{self.name} id out of range [0, {n_rows})")
+        return nc.rows(self.table, ids)
 
 
-class TimeEncoder:
+class TimeEncoder(Module):
     """Sinusoids over a geometric frequency ladder, then a learnable affine.
 
     Delta times are measured in days. Invalid deltas (negative or
@@ -111,11 +105,8 @@ class TimeEncoder:
         invalid_col = Tensor(invalid.astype(np.float64)[:, None])
         return proj * valid_col + self.mask_vector * invalid_col
 
-    def parameters(self):
-        return self.proj.parameters() + [self.mask_vector]
 
-
-class TabularEncoder:
+class TabularEncoder(Module):
     """Per-column encoders, sum-pooled, then two residual blocks.
 
     Numerical cells are standardized per column (train-time statistics from
@@ -157,11 +148,7 @@ class TabularEncoder:
                         f"tab.{tname}.{c.name}.emb")  # last row = missing
             self.num_cols[tname] = nums
             self.cat_cols[tname] = cats
-        self.blocks = []
-        for k in range(2):
-            self.blocks.append((Affine(f"tab.block{k}.a1", d, d, rng),
-                                Norm(f"tab.block{k}.norm", d),
-                                Affine(f"tab.block{k}.a2", d, d, rng)))
+        self.blocks = [ResidualBlock(f"tab.block{k}", d, rng) for k in range(2)]
 
     def encode_rows(self, table: str, row_idx: np.ndarray, tables: TableData) -> Tensor:
         if table not in self.num_cols:
@@ -184,47 +171,25 @@ class TabularEncoder:
         if pooled is None:
             pooled = Tensor(np.zeros((len(row_idx), self.d)))
         h = pooled
-        for a1, norm, a2 in self.blocks:
-            h = h + a2(nc.gelu(norm(a1(h))))
+        for block in self.blocks:
+            h = block(h)
         return h
 
-    def parameters(self):
-        out = []
-        for w, b in self.num_params.values():
-            out.extend([w, b])
-        out.extend(self.cat_params.values())
-        for a1, norm, a2 in self.blocks:
-            out.extend(a1.parameters() + norm.parameters() + a2.parameters())
-        return out
 
-
-class PositionalEncoder:
+class PositionalEncoder(Module):
     """GIN over each subgraph's local edges, random-feature initialized."""
 
     def __init__(self, pe_dim: int, n_layers: int, rng: np.random.Generator):
-        self.layers = []
-        for k in range(n_layers):
-            self.layers.append((
-                Parameter(np.zeros(()), f"pos.gin{k}.eps"),
-                Affine(f"pos.gin{k}.a1", pe_dim, pe_dim, rng),
-                Norm(f"pos.gin{k}.norm", pe_dim),
-                Affine(f"pos.gin{k}.a2", pe_dim, pe_dim, rng),
-            ))
+        self.layers = [(Parameter(np.zeros(()), f"pos.gin{k}.eps"),
+                        ResidualBlock(f"pos.gin{k}", pe_dim, rng))
+                       for k in range(n_layers)]
         self.out = Affine("pos.out", pe_dim, pe_dim, rng)
 
     def __call__(self, batch: BatchedSubgraphs, init_features: np.ndarray) -> Tensor:
         h = Tensor(np.asarray(init_features, dtype=np.float64))
-        for eps, a1, norm, a2 in self.layers:
-            mixed = h * (1.0 + eps) + batch.propagate(batch.adjacency, h)
-            h = h + a2(nc.gelu(norm(a1(mixed))))
+        for eps, block in self.layers:
+            h = block(h, h * (1.0 + eps) + batch.propagate(batch.adjacency, h))
         return self.out(h)
-
-    def parameters(self):
-        out = []
-        for eps, a1, norm, a2 in self.layers:
-            out.append(eps)
-            out.extend(a1.parameters() + norm.parameters() + a2.parameters())
-        return out + self.out.parameters()
 
 
 @lru_cache(maxsize=1 << 20)
@@ -245,7 +210,7 @@ def positional_init(run_seed: int, global_ids: np.ndarray, pe_dim: int) -> np.nd
     return feats
 
 
-class FeatureMixer:
+class FeatureMixer(Module):
     """Per-channel LayerNorm -> concat -> affine -> GELU -> affine to d."""
 
     def __init__(self, d: int, pe_dim: int, rng: np.random.Generator):
@@ -261,22 +226,16 @@ class FeatureMixer:
         parts.append(self.pos_norm(pos_e))
         return self.a2(nc.gelu(self.a1(nc.concat(parts, axis=1))))
 
-    def parameters(self):
-        out = []
-        for n in self.norms + [self.pos_norm]:
-            out.extend(n.parameters())
-        return out + self.a1.parameters() + self.a2.parameters()
 
-
-class EncoderSuite:
+class EncoderSuite(Module):
     """All node encoders plus the mixer; produces the N x d input matrix."""
 
     def __init__(self, config: ModelConfig, schema: DatabaseSchema,
                  tables: TableData, rng: np.random.Generator):
         d = config.d
         self.pe_dim = config.pe_dim
-        self.type_enc = TypeEncoder(len(schema.tables), d, rng)
-        self.hop_enc = HopEncoder(config.max_hop, d, rng)
+        self.type_enc = Embedding("type", len(schema.tables), d, rng)
+        self.hop_enc = Embedding("hop", config.max_hop + 1, d, rng)
         self.time_enc = TimeEncoder(d, rng)
         self.tab_enc = TabularEncoder(d, schema, tables, rng)
         self.pos_enc = PositionalEncoder(config.pe_dim, config.gin_layers, rng)
@@ -317,8 +276,3 @@ class EncoderSuite:
         """(k, d) tabular embeddings of the nodes (semantic-similarity channel)."""
         with nc.no_grad():
             return self._encode_tabular(np.asarray(nodes), graph, tables).data
-
-    def parameters(self):
-        return (self.type_enc.parameters() + self.hop_enc.parameters()
-                + self.time_enc.parameters() + self.tab_enc.parameters()
-                + self.pos_enc.parameters() + self.mixer.parameters())

@@ -2,8 +2,9 @@
 
 Three mean-aggregation layers; each applies self + neighbor-mean linear
 maps, LayerNorm, GELU and dropout, with a residual skip from the layer
-input. Messages only flow along each sampled subgraph's induced adjacency,
-never the complete attention graph.
+input; dropout runs only when a generator is passed. Messages only flow
+along each sampled subgraph's induced adjacency, never the complete
+attention graph.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import numcore as nc
 from .encoders import Norm
-from .numcore import Parameter, Tensor
+from .numcore import Module, Parameter, Tensor
 
 if TYPE_CHECKING:
     from .model import BatchedSubgraphs
@@ -23,7 +24,7 @@ if TYPE_CHECKING:
 GNN_DROPOUT = 0.1
 
 
-class SageLayer:
+class SageLayer(Module):
     def __init__(self, name: str, d: int, rng: np.random.Generator,
                  dropout_rate: float = GNN_DROPOUT):
         scale = 1.0 / math.sqrt(d)
@@ -33,32 +34,19 @@ class SageLayer:
         self.dropout_rate = dropout_rate
 
     def __call__(self, H: Tensor, batch: BatchedSubgraphs, *,
-                 training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
         neigh_mean = batch.propagate(batch.mean_adjacency, H)
-        z = nc.matmul(H, self.W_self.t()) + nc.matmul(neigh_mean, self.W_neigh.t())
+        z = nc.linear(H, self.W_self) + nc.linear(neigh_mean, self.W_neigh)
         z = nc.gelu(self.norm(z))
-        if training and rng is not None:
-            z = nc.dropout(z, self.dropout_rate, rng, training)
-        return H + z
-
-    def parameters(self):
-        return [self.W_self, self.W_neigh] + self.norm.parameters()
+        return H + nc.dropout(z, self.dropout_rate, rng)
 
 
-class GnnBranch:
+class GnnBranch(Module):
     def __init__(self, name: str, d: int, rng: np.random.Generator, n_layers: int = 3):
         self.layers = [SageLayer(f"{name}.sage{k}", d, rng) for k in range(n_layers)]
 
     def __call__(self, H: Tensor, batch: BatchedSubgraphs, *,
-                 training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
         for layer in self.layers:
-            H = layer(H, batch, training=training, rng=rng)
+            H = layer(H, batch, rng=rng)
         return H
-
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out

@@ -10,6 +10,9 @@ the row-wise layers run on the stacked rows. Everything that mixes rows
 (attention, the GNN's neighbour mean, the positional GIN's neighbour sum)
 runs on each subgraph on its own, on a (B, n_max, ...) stack gathered
 through a padded row index and scattered back to the rows.
+
+The model and its layers are ``nc.Module``s. ``GelModel.parameters()``
+maps each parameter's name, its name in a checkpoint, to the parameter.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import numcore as nc
 from .attention import PAD, AttentionLayer
 from .encoders import Affine, EncoderSuite
 from .gnn import GnnBranch
-from .numcore import Parameter, Tensor
+from .numcore import Module, Parameter, Tensor
 from .relstore import DatabaseSchema, RelGraph, TableData
 from .sampler import SampledSubgraph
 
@@ -48,6 +51,8 @@ class ModelConfig:
             raise ValueError("d must be even and divisible by n_heads")
         if not 1 <= self.pe_dim <= self.d:
             raise ValueError("pe_dim must be in [1, d]")
+        if self.gin_layers < 0:
+            raise ValueError("gin_layers must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.init_seed < 0:
@@ -70,7 +75,7 @@ class AblationFlags:
         return "+".join(on) or "full"
 
 
-class GelModel:
+class GelModel(Module):
     """Dual-branch relational graph transformer with Gaussian temporal bias."""
 
     def __init__(self, config: ModelConfig, schema: DatabaseSchema, tables: TableData):
@@ -89,15 +94,8 @@ class GelModel:
     # -- parameter plumbing ---------------------------------------------
 
     def parameters(self) -> dict[str, Parameter]:
-        params = list(self.encoders.parameters())
-        for a in self.attn_layers:
-            params.extend(a.parameters())
-        for g in self.gnn_layers:
-            params.extend(g.parameters())
-        params.append(self.eta_raw)
-        params.extend(self.head_a1.parameters() + self.head_a2.parameters())
         out = {}
-        for p in params:
+        for p in super().parameters():
             if p.name in out:
                 raise RuntimeError(f"duplicate parameter name {p.name}")
             out[p.name] = p
@@ -121,19 +119,19 @@ class GelModel:
 
     def forward_batch(self, batch: "BatchedSubgraphs", tables: TableData,
                       graph: RelGraph, *, run_seed: int = 0,
-                      training: bool = False,
                       rng: np.random.Generator | None = None,
                       ablation: AblationFlags = AblationFlags()) -> Tensor:
-        """One score per subgraph of the batch, in batch order."""
+        """One score per subgraph of the batch, in batch order; dropout runs
+        only when ``rng`` is given."""
         H = self.encoders.encode_subgraph(batch, graph, tables, run_seed)
         eta = self.eta()
         for attn, gnn in zip(self.attn_layers, self.gnn_layers):
-            H_attn = attn.attend(H, batch, use_bias=not ablation.no_gaussian_bias,
-                                 training=training, rng=rng)
+            H_attn = attn.attend(H, batch, rng=rng,
+                                 use_bias=not ablation.no_gaussian_bias)
             if ablation.no_gnn_branch:
                 H = H_attn
             else:
-                H_gnn = gnn(H, batch, training=training, rng=rng)
+                H_gnn = gnn(H, batch, rng=rng)
                 H = fuse(H_attn, H_gnn, eta)
         seed_rows = nc.rows(H, batch.seed_positions)
         return self.head_a2(nc.gelu(self.head_a1(seed_rows))).reshape(-1)

@@ -4,13 +4,16 @@ Small tape-style autodiff: every op closes over its inputs and records a
 backward rule; ``backward`` replays them in reverse topological order.
 Leaf tensors (parameters) accumulate gradients across backward calls until
 ``zero_grad`` resets them.
+
+A layer is a ``Module``: its parameters are the ``Parameter``s held in its
+attributes, found in definition order. A parameter's name is its name in
+a checkpoint, so renaming or reordering parameters breaks old checkpoints.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -133,38 +136,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g * self.data / (other.data**2), other.shape))
-
-        return Tensor._make(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: float):
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(self.data**exponent, (self,), backward)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- shape ops -------------------------------------------------------
-
-    def t(self) -> "Tensor":
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g.T)
-
-        return Tensor._make(self.data.T, (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         """Permute the axes (numpy ``transpose`` with an explicit order)."""
@@ -195,10 +167,6 @@ class Tensor:
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.data.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     # -- elementwise nonlinearities --------------------------------------
 
     def exp(self) -> "Tensor":
@@ -210,13 +178,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def log(self) -> "Tensor":
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g / self.data)
-
-        return Tensor._make(np.log(self.data), (self,), backward)
-
     def abs(self) -> "Tensor":
         def backward(g):
             if self.requires_grad:
@@ -226,31 +187,41 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Learnable leaf tensor; gradient buffer always allocated."""
+    """Learnable leaf tensor; gradient buffer always allocated. Its name is
+    its name in a checkpoint."""
 
     def __init__(self, value, name: str):
         super().__init__(value, requires_grad=True, name=name)
         self.grad = np.zeros_like(self.data)
 
 
+class Module:
+    """A layer whose parameters are the ``Parameter``s in its attributes."""
+
+    def parameters(self) -> list[Parameter]:
+        """Every Parameter held by an attribute, in definition order,
+        looking inside Modules, lists, tuples and dict values."""
+        found: list[Parameter] = []
+
+        def walk(value) -> None:
+            if isinstance(value, Parameter):
+                found.append(value)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    walk(v)
+            elif isinstance(value, dict):
+                for v in value.values():
+                    walk(v)
+            elif isinstance(value, Module):
+                walk(vars(value))
+
+        walk(vars(self))
+        return found
+
+
 # ---------------------------------------------------------------------------
 # free-function ops
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a = Tensor._coerce(a)
-    b = Tensor._coerce(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
-        if b.requires_grad:
-            b._accum(a.data.T @ g)
-
-    return Tensor._make(a.data @ b.data, (a, b), backward)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -383,8 +354,8 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = LAYER_NORM_E
     return Tensor._make(xhat * gain.data + shift.data, (x, gain, shift), backward)
 
 
-def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """Fused x @ W.T + b (W is (out, in), b is (out,))."""
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
+    """Fused x @ W.T + b (W is (out, in), b is (out,)); no bias if ``b`` is None."""
     x = Tensor._coerce(x)
     if x.shape[-1] != W.shape[1]:
         raise ValueError(f"linear shape mismatch: {x.shape} vs W {W.shape}")
@@ -394,9 +365,11 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
             x._accum(g @ W.data)
         if W.requires_grad:
             W._accum(g.T @ x.data if g.ndim == 2 else np.outer(g, x.data))
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b._accum(g.sum(axis=0) if g.ndim == 2 else g)
 
+    if b is None:
+        return Tensor._make(x.data @ W.data.T, (x, W), backward)
     return Tensor._make(x.data @ W.data.T + b.data, (x, W, b), backward)
 
 
@@ -438,9 +411,10 @@ def gaussian_bias(delta_days: np.ndarray, mu: Tensor, rho: Tensor,
                         (mu, rho, scale, shift), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted-scaling dropout; identity when not training or rate 0."""
-    if not training or rate <= 0.0:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted-scaling dropout with masks drawn from ``rng``; the identity
+    without a generator or at rate 0."""
+    if rng is None or rate <= 0.0:
         return x
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * Tensor(mask)
@@ -484,24 +458,6 @@ def backward(loss: Tensor) -> None:
 def zero_grad(params: Iterable[Parameter]) -> None:
     for p in params:
         p.grad = np.zeros_like(p.data)
-
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray,
-                     eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, coordinate by coordinate."""
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.zeros_like(theta)
-    flat = theta.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(theta)
-        flat[i] = orig - eps
-        fm = f(theta)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * eps)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +514,3 @@ def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
     for name, p in params.items():
         p.data = arrays[name].reshape(p.data.shape).astype(np.float64)
 
-
-def checkpoint_exists(path: str) -> bool:
-    return os.path.exists(path + ".json") and os.path.exists(path + ".bin")

@@ -28,6 +28,8 @@ class SamplingConfig:
             raise ValueError("max_hop must be >= 1")
         if self.stage1_budget < 1:
             raise ValueError("stage1_budget must be >= 1 (the seed counts against it)")
+        if self.stage2_keep < 1:
+            raise ValueError("stage2_keep must be >= 1")
         if self.stage2_keep > self.stage1_budget:
             raise ValueError("stage2_keep must not exceed stage1_budget")
 

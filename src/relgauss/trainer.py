@@ -44,9 +44,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lr", "batch_size", "epochs", "max_steps_per_epoch",
-                     "warmup_steps", "micro_batch", "val_stride"):
+                     "warmup_steps", "micro_batch", "val_stride", "bias_lr_multiplier"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
 
@@ -184,8 +186,8 @@ def sample_row(graph: RelGraph, schema: DatabaseSchema, tables: TableData,
 def predict_rows(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                  tables: TableData, rows: list[int], embed, samp_cfg: SamplingConfig,
                  ablation: AblationFlags, run_seed: int,
-                 sampling_rng: np.random.Generator | None = None,
-                 micro_batch: int = 8) -> np.ndarray:
+                 sampling_rng: np.random.Generator | None = None, *,
+                 micro_batch: int) -> np.ndarray:
     """Eval-mode scores for target-table rows (dropout off, no graph)."""
     scores = np.empty(len(rows))
     with nc.no_grad():
@@ -243,8 +245,7 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                                    ablation, sampling_rng)
                         for row in chunk]
                 scores = model.forward_batch(batch_subgraphs(subs), tables,
-                                             graph, run_seed=run_seed,
-                                             training=True, rng=rng,
+                                             graph, run_seed=run_seed, rng=rng,
                                              ablation=ablation)
                 item = loss_fn(scores, targets[chunk], task_kind).sum()
                 total = item if total is None else total + item

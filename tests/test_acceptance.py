@@ -6,6 +6,7 @@ multi-seed ablation benchmark (the expensive part, shared via a session
 fixture), temporal-center recovery, and bit-level reproducibility.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -228,6 +229,33 @@ def test_sampling_causality_and_one_hop_retention_at_scale(bench_db):
                 violations += 1
     assert total == 10_000
     assert violations == 0
+
+
+# ---------------------------------------------------------------------------
+# checkpoint layout
+# ---------------------------------------------------------------------------
+
+# sha256 of the JSON [[name, shape], ...] list of GelModel.parameters(),
+# recorded when each layer still listed its parameters by hand. Checkpoints
+# are read by name and shape, so a change here makes older ones unreadable.
+PINNED_LAYOUTS = {
+    "tiny": (98, "b96e7b230872f34f8a55777fd219a7559f32f9eda1050cb7e20117bb946e28e5"),
+    "bench": (103, "61ce260c327cd9f0c6f7a18c0b4f7e25e8f16d7926b219cf2f8adda412fb9491"),
+}
+
+
+def test_checkpoint_layout_is_pinned(tiny_db, bench_db):
+    tiny_schema, tiny_tables, _ = tiny_db
+    _, schema, tables, _, _ = bench_db
+    models = {
+        "tiny": GelModel(ModelConfig(d=16, n_layers=2, n_heads=2, pe_dim=4, dropout=0.0),
+                         tiny_schema, tiny_tables),
+        "bench": GelModel(ModelConfig(**BENCH_MODEL, init_seed=0), schema, tables),
+    }
+    for name, model in models.items():
+        layout = [[n, list(p.shape)] for n, p in model.parameters().items()]
+        digest = hashlib.sha256(json.dumps(layout).encode()).hexdigest()
+        assert (len(layout), digest) == PINNED_LAYOUTS[name], name
 
 
 # ---------------------------------------------------------------------------

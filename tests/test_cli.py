@@ -13,11 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relgauss import cli
+from relgauss import cli, trainer
 from relgauss import numcore as nc
 from relgauss.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                           EXIT_VERIFY_FAIL, main)
-from relgauss.model import GelModel, ModelConfig
+from relgauss.model import GelModel, ModelConfig, batch_subgraphs
 from relgauss.sampler import SamplingConfig
 from relgauss.trainer import TrainConfig
 
@@ -220,6 +220,7 @@ def test_train_unknown_config_section_field(gen_dir, tmp_path, capsys):
     ({"sampling": {"stage1_budget": 0, "stage2_keep": 0}}, "stage1_budget"),
     # the task kind comes from the schema; a config field for it is unknown
     ({"model": {"task_kind": "regression"}}, "task_kind"),
+    ({"train": {"weight_decay": -1}}, "weight_decay"),
 ])
 def test_train_invalid_config_value_exits_2(gen_dir, tmp_path, capsys, raw, field):
     cfg = tmp_path / "cfg.json"
@@ -262,6 +263,26 @@ def test_eval_from_checkpoint(trained, gen_dir, capsys):
     info = json.loads(text)
     assert info["n_test"] > 0
     assert 0.0 <= info["auc"] <= 1.0
+
+
+def test_eval_batches_follow_train_micro_batch(trained, gen_dir, tmp_path, capsys,
+                                               monkeypatch):
+    out, _ = trained
+    sizes = []
+
+    def counted(subs):
+        sizes.append(len(subs))
+        return batch_subgraphs(subs)
+
+    monkeypatch.setattr(trainer, "batch_subgraphs", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(TRAIN_CONFIG,
+                                   train=dict(TRAIN_CONFIG["train"], micro_batch=3))))
+    code, text, _ = run(capsys, "eval", "--data", str(gen_dir), "--config", str(cfg),
+                        "--checkpoint", str(out / "r1" / "checkpoint"), "--seed", "0")
+    assert code == EXIT_OK
+    assert sum(sizes) == json.loads(text)["n_test"] > 3
+    assert max(sizes) == 3
 
 
 def assert_one_error_line(err):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from relgauss import numcore as nc
-from relgauss.encoders import (Affine, EncoderSuite, HopEncoder,
-                               PositionalEncoder, TabularEncoder, TimeEncoder,
-                               TypeEncoder, positional_init)
+from relgauss.encoders import (Affine, Embedding, EncoderSuite, PositionalEncoder,
+                               TabularEncoder, TimeEncoder, positional_init)
 from relgauss.model import ModelConfig, batch_subgraphs
 from relgauss.numcore import Tensor
 from relgauss.relstore import build_graph, load_schema, load_tables
@@ -55,7 +54,8 @@ def tiny_db(tmp_path):
 
 
 def test_type_encoder_lookup_and_range(rng):
-    enc = TypeEncoder(2, CFG.d, rng)
+    enc = Embedding("type", 2, CFG.d, rng)
+    assert enc.table.name == "type.table"
     out = enc(np.array([0, 1, 0]))
     np.testing.assert_array_equal(out.data[0], out.data[2])
     assert out.shape == (3, 16)
@@ -66,9 +66,9 @@ def test_type_encoder_lookup_and_range(rng):
 
 
 def test_hop_encoder_range(rng):
-    enc = HopEncoder(CFG.max_hop, CFG.d, rng)
+    enc = Embedding("hop", CFG.max_hop + 1, CFG.d, rng)
     assert enc(np.array([0, 1, 2])).shape == (3, 16)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"hop id out of range \[0, 3\)"):
         enc(np.array([3]))
 
 
@@ -123,8 +123,8 @@ def test_tabular_missing_numerical_imputes_to_zero(tiny_db, rng):
     emb = enc.cat_params[("users", "tier")]
     pooled = b.data + emb.data[tables.tables["users"].categorical["tier"][1]]
     h = Tensor(pooled[None, :])
-    for a1, norm, a2 in enc.blocks:
-        h = h + a2(nc.gelu(norm(a1(h))))
+    for block in enc.blocks:
+        h = h + block.a2(nc.gelu(block.norm(block.a1(h))))
     np.testing.assert_allclose(out.data, h.data)
 
 
@@ -183,7 +183,7 @@ def test_encoder_suite_gradients_flow(tiny_db):
     params = suite.parameters()
     nc.zero_grad(params)
     H = suite.encode_subgraph(batch_subgraphs([sub]), graph, tables, run_seed=0)
-    nc.backward((H ** 2).sum())
+    nc.backward((H * H).sum())
     touched = sum(1 for p in params if np.abs(p.grad).max() > 0)
     assert touched > len(params) * 0.5
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import finite_diff_grad
 from relgauss import numcore as nc
 from relgauss.attention import PAD
 from relgauss.encoders import PositionalEncoder
@@ -108,7 +109,7 @@ def test_gradients_flow_through_branch(make_batch):
     nc.zero_grad(params)
     H = Tensor(rng.normal(size=(3, 4)))
     out = branch(H, make_batch([[[1], [0, 2], [1]]]))
-    nc.backward((out ** 2).sum())
+    nc.backward((out * out).sum())
     assert all(np.abs(p.grad).max() > 0 for p in params
                if p.name.endswith(("W_self", "W_neigh")))
 
@@ -120,7 +121,8 @@ def test_branch_gradient_matches_finite_differences(make_batch):
     batch = make_batch([[[1, 2], [0], [0]]])
     params = branch.parameters()
     nc.zero_grad(params)
-    nc.backward((branch(Tensor(H0), batch) ** 2).sum())
+    out = branch(Tensor(H0), batch)
+    nc.backward((out * out).sum())
     p = params[0]  # first W_self
     analytic = p.grad.copy()
 
@@ -132,7 +134,7 @@ def test_branch_gradient_matches_finite_differences(make_batch):
         p.data = saved
         return val
 
-    numeric = nc.finite_diff_grad(loss_at, p.data)
+    numeric = finite_diff_grad(loss_at, p.data)
     scale = max(np.abs(analytic).max(), 1e-8)
     assert np.abs(analytic - numeric).max() / scale < 1e-5
 
@@ -143,8 +145,10 @@ def test_dropout_only_in_training(make_batch):
     H = Tensor(rng.normal(size=(3, 4)))
     batch = make_batch([[[1], [0, 2], [1]]])
     with nc.no_grad():
-        a = layer(H, batch, training=False).data
-        b = layer(H, batch, training=False, rng=np.random.default_rng(8)).data
-        c = layer(H, batch, training=True, rng=np.random.default_rng(8)).data
+        a = layer(H, batch).data
+        b = layer(H, batch, rng=None).data
+        c = layer(H, batch, rng=np.random.default_rng(8)).data
+        d = layer(H, batch, rng=np.random.default_rng(8)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+    np.testing.assert_array_equal(c, d)  # the mask follows the generator

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,42 +8,7 @@ from relgauss.attention import PAD
 from relgauss.model import (AblationFlags, GelModel, ModelConfig,
                             batch_subgraphs, fuse, loss)
 from relgauss.numcore import Tensor
-from relgauss.relstore import build_graph, load_schema, load_tables
 from relgauss.sampler import SamplingConfig, sample
-
-
-@pytest.fixture(scope="module")
-def tiny_db(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("mdl")
-    schema_raw = {
-        "tables": [
-            {"name": "users", "columns": [
-                {"name": "user_id", "kind": "primary_key"},
-                {"name": "score", "kind": "numerical"},
-                {"name": "joined", "kind": "timestamp"},
-                {"name": "label", "kind": "numerical"},
-            ]},
-            {"name": "orders", "columns": [
-                {"name": "order_id", "kind": "primary_key"},
-                {"name": "user_id", "kind": "foreign_key",
-                 "target_table": "users"},
-                {"name": "placed", "kind": "timestamp"},
-                {"name": "amount", "kind": "numerical"},
-            ]},
-        ],
-        "task": {"target_table": "users", "target_column": "label",
-                 "kind": "binary_classification", "seed_time_column": "joined"},
-    }
-    (tmp_path / "schema.json").write_text(json.dumps(schema_raw))
-    (tmp_path / "users.csv").write_text(
-        "user_id,score,joined,label\n"
-        "u1,4.0,1000000,1\nu2,1.0,2000000,0\nu3,2.5,3000000,1\n")
-    (tmp_path / "orders.csv").write_text(
-        "order_id,user_id,placed,amount\n"
-        "o1,u1,500,10.0\no2,u1,600,2.0\no3,u2,700,6.0\no4,u3,800,1.0\n")
-    schema = load_schema(str(tmp_path / "schema.json"))
-    tables = load_tables(schema, str(tmp_path))
-    return schema, tables, build_graph(schema, tables)
 
 
 CFG = dict(d=16, n_layers=2, n_heads=2, pe_dim=4, dropout=0.0)
@@ -73,7 +37,7 @@ def subgraphs_for(tiny_db, model):
 @pytest.mark.parametrize("bad", [dict(d=30, n_heads=4), dict(d=15, n_heads=1),
                                  dict(pe_dim=32, d=16), dict(n_layers=0),
                                  dict(n_heads=0), dict(dropout=1.0),
-                                 dict(dropout=-0.1)])
+                                 dict(dropout=-0.1), dict(gin_layers=-2)])
 def test_model_config_validation(bad):
     with pytest.raises(ValueError):
         ModelConfig(**{**CFG, **bad})

@@ -195,6 +195,9 @@ def test_config_validation():
         SamplingConfig(max_hop=0)
     with pytest.raises(ValueError):
         SamplingConfig(stage1_budget=10, stage2_keep=20)
+    for keep in (0, -3):
+        with pytest.raises(ValueError, match="stage2_keep"):
+            SamplingConfig(stage2_keep=keep)
 
 
 # -- equivalence with set-based sampling ------------------------------------

@@ -215,7 +215,7 @@ def test_embedding_cache_memoizes_and_refreshes(small_setup, monkeypatch):
     cache(np.array([0, 5, 5]))
     assert calls[-1] == [5]  # only the miss is encoded, once
     # after refresh() the values come from the current weights
-    model.encoders.tab_enc.blocks[0][2].b.data += 1.0
+    model.encoders.tab_enc.blocks[0].a2.b.data += 1.0
     cache.refresh()
     v2 = cache(np.array([3, 0]))
     assert calls[-1] == [0, 3]
@@ -283,6 +283,11 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="micro_batch"):
         TrainConfig(micro_batch=0)
+    with pytest.raises(ValueError, match="weight_decay"):
+        TrainConfig(weight_decay=-1)
+    for multiplier in (0, -2.0):
+        with pytest.raises(ValueError, match="bias_lr_multiplier"):
+            TrainConfig(bias_lr_multiplier=multiplier)
     TrainConfig(weight_decay=0.0)  # zero decay is allowed
 
 
