@@ -25,6 +25,5 @@ python3 -m relgauss.cli ingest --data "$OUT/db"
 python3 -m relgauss.cli sample --data "$OUT/db" --row 0
 python3 -m relgauss.cli train --data "$OUT/db" --config "$OUT/run.json" \
     --out "$OUT/run" --seed 0
-python3 -m relgauss.cli eval --data "$OUT/db" --config "$OUT/run.json" \
-    --checkpoint "$OUT/run/checkpoint" --seed 0
+python3 -m relgauss.cli eval --data "$OUT/db" --checkpoint "$OUT/run/checkpoint"
 python3 -m relgauss.cli verify

@@ -1,6 +1,11 @@
 """Command-line surface: data generation, ingestion, sampling, training,
 evaluation, theorem verification and ablation sweeps.
 
+``train`` saves with its checkpoint the run it trained: the model, train
+and sampling configs and the ablation switches. ``eval`` takes only the
+data and the checkpoint, rebuilds that run from it and scores the test
+split as ``train`` did, so it prints the test metric ``train`` printed.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (also a bad schema, table or checkpoint, or scored rows that cannot give
 the task's metric), 3 numeric abort during training.
@@ -14,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import numcore as nc
 from .model import AblationFlags, GelModel, ModelConfig
 from .oracles import ALL_CHECKS, run_suite
@@ -24,8 +27,8 @@ from .relstore import (SchemaError, TableDataError, build_graph, load_schema,
 from .sampler import SamplingConfig, subgraph_to_dict
 from .synthgen import SynthConfig, temporal_split, write_db
 from .trainer import (EmbeddingCache, MetricError, NumericAbort, TrainConfig,
-                      predict_rows, run_ablation_sweep, sample_row, task_metric,
-                      train, write_metrics_jsonl)
+                      run_ablation_sweep, sample_row, score_test, train,
+                      write_metrics_jsonl)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -104,10 +107,12 @@ def _configs(raw: dict, seed: int | None):
     return model_cfg, train_cfg, samp_cfg
 
 
-def _run_configs(args):
-    ablation = AblationFlags(**{f.name: getattr(args, f.name)
-                                for f in dataclasses.fields(AblationFlags)})
-    return (*_configs(_load_json(args.config), args.seed), ablation)
+def _run_fields(model_cfg: ModelConfig, train_cfg: TrainConfig,
+                samp_cfg: SamplingConfig, ablation: AblationFlags) -> dict:
+    """The run a checkpoint carries: every field of its configs and switches."""
+    return {"model": dataclasses.asdict(model_cfg), "train": dataclasses.asdict(train_cfg),
+            "sampling": dataclasses.asdict(samp_cfg),
+            "ablation": dataclasses.asdict(ablation)}
 
 
 def _record_run(result, ablation: AblationFlags, path: str) -> dict:
@@ -167,30 +172,36 @@ def cmd_sample(args) -> int:
 
 def cmd_train(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
-    model_cfg, train_cfg, samp_cfg, ablation = _run_configs(args)
+    model_cfg, train_cfg, samp_cfg = _configs(_load_json(args.config), args.seed)
+    ablation = AblationFlags(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(AblationFlags)})
     model = GelModel(model_cfg, schema, tables)
     splits = temporal_split(schema, tables, SPLIT_FRACTIONS)
     os.makedirs(args.out, exist_ok=True)
     result = train(model, graph, schema, tables, splits, train_cfg, samp_cfg,
                    ablation, progress=not args.quiet)
     summary = _record_run(result, ablation, os.path.join(args.out, "metrics.jsonl"))
-    nc.save_checkpoint(model.parameters(), os.path.join(args.out, "checkpoint"))
+    nc.save_checkpoint(model.parameters(), os.path.join(args.out, "checkpoint"),
+                       _run_fields(model_cfg, train_cfg, samp_cfg, ablation))
     print(json.dumps(summary))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
+    run = nc.checkpoint_run(args.checkpoint)
+    ablation = _build_dataclass(AblationFlags, run.get("ablation"))
+    configs = _configs({k: v for k, v in run.items() if k != "ablation"}, None)
+    if _run_fields(*configs, ablation) != run:
+        raise ConfigError(f"checkpoint {args.checkpoint}: its run does not give every "
+                          f"field of the model, train and sampling configs and the "
+                          f"ablation switches")
+    model_cfg, train_cfg, samp_cfg = configs
     schema, tables, graph = _load_dataset(args.data)
-    model_cfg, train_cfg, samp_cfg, ablation = _run_configs(args)
     model = GelModel(model_cfg, schema, tables)
     nc.load_checkpoint(model.parameters(), args.checkpoint)
     test_rows = temporal_split(schema, tables, SPLIT_FRACTIONS)[2]
-    embed = EmbeddingCache(model, graph, tables)
-    rng = np.random.default_rng(train_cfg.rng_seed)
-    scores = predict_rows(model, graph, schema, tables, test_rows, embed,
-                          samp_cfg, ablation, train_cfg.rng_seed, rng,
-                          micro_batch=train_cfg.micro_batch)
-    name, value = task_metric(schema, tables, test_rows, scores)
+    _, name, value = score_test(model, graph, schema, tables, test_rows, train_cfg,
+                                samp_cfg, ablation)
     print(json.dumps({"n_test": len(test_rows), name: value}))
     return EXIT_OK
 
@@ -237,11 +248,6 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_ablation_flags(p: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(AblationFlags):
-        p.add_argument("--" + f.name.replace("_", "-"), action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="relgauss")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,15 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--quiet", action="store_true")
-    _add_ablation_flags(p)
+    for f in dataclasses.fields(AblationFlags):
+        p.add_argument("--" + f.name.replace("_", "-"), action="store_true")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="score the test split from a checkpoint")
+    p = sub.add_parser("eval", help="score the test split of a checkpoint's run")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    _add_ablation_flags(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the analytical verification suite")

@@ -188,11 +188,11 @@ def batch_subgraphs(subs: list[SampledSubgraph]) -> BatchedSubgraphs:
         index=index, slot=slot, adjacency=adjacency, seed_positions=seeds)
 
 
-def fuse(H_attn: Tensor, H_gnn: Tensor, eta: Tensor | float) -> Tensor:
+def fuse(H_attn: Tensor, H_gnn: Tensor, eta: Tensor) -> Tensor:
     """Convex combination eta * H_attn + (1 - eta) * H_gnn."""
     if H_attn.shape != H_gnn.shape:
         raise ValueError(f"shape mismatch: {H_attn.shape} vs {H_gnn.shape}")
-    return H_attn * eta + H_gnn * (1.0 - (eta if isinstance(eta, Tensor) else Tensor(eta)))
+    return H_attn * eta + H_gnn * (1.0 - eta)
 
 
 def loss(score: Tensor, target, kind: str) -> Tensor:

@@ -12,6 +12,7 @@ a checkpoint, so renaming or reordering parameters breaks old checkpoints.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -289,10 +290,15 @@ def softmax_rows(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), with exp taken of -|x| only, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = Tensor._coerce(x)
-    out_data = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    out_data = _logistic(x.data)
 
     def backward(g):
         if x.requires_grad:
@@ -307,9 +313,7 @@ def softplus(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            s = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                         np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
-            x._accum(g * s)
+            x._accum(g * _logistic(x.data))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -465,36 +469,66 @@ def zero_grad(params: Iterable[Parameter]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(params: dict[str, Parameter], path: str) -> None:
-    """Write a JSON manifest (name/shape/offset) plus a raw LE float64 blob."""
-    manifest = []
+CHECKPOINT_FORMAT = 2
+
+
+def save_checkpoint(params: dict[str, Parameter], path: str, run: dict) -> None:
+    """Write the parameters as one raw LE float64 blob, ``path.bin``, and a
+    JSON manifest, ``path.json``: the format number, ``run`` (a JSON object
+    saying what the parameters belong to, not read here), the blob's sha256
+    and each parameter's name, shape and byte offset."""
+    entries = []
     offset = 0
+    digest = hashlib.sha256()
     with open(path + ".bin", "wb") as blob:
         for name, p in params.items():
-            arr = np.asarray(p.data, dtype="<f8")  # tobytes() writes C order
-            manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            blob.write(arr.tobytes())
-            offset += arr.nbytes
+            data = np.asarray(p.data, dtype="<f8").tobytes()  # C order
+            entries.append({"name": name, "shape": list(p.data.shape), "offset": offset})
+            blob.write(data)
+            digest.update(data)
+            offset += len(data)
     with open(path + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
+        json.dump({"format": CHECKPOINT_FORMAT, "run": run,
+                   "sha256": digest.hexdigest(), "params": entries}, fh, indent=1)
 
 
 class CheckpointError(ValueError):
     """A checkpoint that cannot be read into the given parameters."""
 
 
-def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
-    """Read every parameter from ``path``; nothing is assigned unless all fit."""
+def _read_manifest(path: str) -> dict:
     try:
         with open(path + ".json") as fh:
             manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    # format 1 was the bare parameter list, saying nothing of the run
+    fmt = (1 if isinstance(manifest, list)
+           else manifest.get("format") if isinstance(manifest, dict) else None)
+    if fmt != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"checkpoint {path} is in format {fmt!r}, not "
+                              f"{CHECKPOINT_FORMAT}: retrain to write it in this one")
+    if not isinstance(manifest.get("run"), dict):
+        raise CheckpointError(f"checkpoint {path} has no run object")
+    return manifest
+
+
+def checkpoint_run(path: str) -> dict:
+    """The run object saved with the checkpoint at ``path``."""
+    return _read_manifest(path)["run"]
+
+
+def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
+    """Read every parameter from ``path``; nothing is assigned unless all fit."""
+    manifest = _read_manifest(path)
+    try:
         with open(path + ".bin", "rb") as fh:
             blob = fh.read()
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         by_name = {e["name"]: (tuple(int(n) for n in e["shape"]), int(e["offset"]))
-                   for e in manifest}
+                   for e in manifest["params"]}
     except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest {path}.json: {exc!r}") from exc
     arrays = {}
@@ -502,8 +536,7 @@ def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
         if name not in by_name:
             raise CheckpointError(f"checkpoint {path} has no parameter {name!r}")
         shape, offset = by_name[name]
-        # earlier writers recorded a 0-d parameter as shape (1,)
-        if shape != p.data.shape and not (shape == (1,) and p.data.shape == ()):
+        if shape != p.data.shape:
             raise CheckpointError(f"checkpoint {path}: {name!r} has shape {shape}, "
                                   f"the model has {p.data.shape}")
         end = offset + 8 * p.data.size
@@ -511,6 +544,8 @@ def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
             raise CheckpointError(f"checkpoint {path}: {name!r} needs bytes "
                                   f"[{offset}, {end}) of a {len(blob)}-byte blob")
         arrays[name] = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
+    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
+        raise CheckpointError(f"checkpoint {path}: the blob's sha256 does not match "
+                              f"its manifest")
     for name, p in params.items():
         p.data = arrays[name].reshape(p.data.shape).astype(np.float64)
-

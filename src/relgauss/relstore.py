@@ -66,6 +66,18 @@ class DatabaseSchema:
         return [t for t, _ in self.tables]
 
 
+def _field(obj, key: str, kind: type, where: str):
+    """``obj[key]`` of the JSON object ``obj``, which must be a ``kind``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    if key not in obj:
+        raise SchemaError(f"{where} has no {key!r}")
+    if not isinstance(obj[key], kind):
+        raise SchemaError(f"{where}: {key!r} must be a {kind.__name__}, "
+                          f"not {type(obj[key]).__name__}")
+    return obj[key]
+
+
 def load_schema(path: str) -> DatabaseSchema:
     """Parse and validate the schema.json manifest."""
     try:
@@ -76,12 +88,15 @@ def load_schema(path: str) -> DatabaseSchema:
 
     tables: list[tuple[str, list[ColumnSpec]]] = []
     names: set[str] = set()
-    for t in raw.get("tables", []):
-        name = t["name"]
+    for t in _field(raw, "tables", list, "schema"):
+        name = _field(t, "name", str, "table")
         if name in names:
             raise SchemaError(f"duplicate table name {name!r}")
         names.add(name)
-        cols = [ColumnSpec(c["name"], c["kind"], c.get("target_table")) for c in t["columns"]]
+        where = f"a column of table {name!r}"
+        cols = [ColumnSpec(_field(c, "name", str, where), _field(c, "kind", str, where),
+                           c.get("target_table"))
+                for c in _field(t, "columns", list, f"table {name!r}")]
         for c in cols:
             if c.kind not in COLUMN_KINDS:
                 raise SchemaError(f"unknown column kind {c.kind!r} in table {name!r}")
@@ -96,9 +111,9 @@ def load_schema(path: str) -> DatabaseSchema:
                 raise SchemaError(
                     f"unresolved foreign key: {name}.{c.name} -> {c.target_table!r}")
 
-    task_raw = raw["task"]
-    task = TaskSpec(task_raw["target_table"], task_raw["target_column"],
-                    task_raw["kind"], task_raw["seed_time_column"])
+    task_raw = _field(raw, "task", dict, "schema")
+    task = TaskSpec(*(_field(task_raw, key, str, "task") for key in
+                      ("target_table", "target_column", "kind", "seed_time_column")))
     if task.target_table not in names:
         raise SchemaError(f"task target_table {task.target_table!r} unknown")
     target_cols = {c.name for c in dict(tables)[task.target_table]}

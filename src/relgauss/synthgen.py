@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relstore import DatabaseSchema, TableData, load_schema, load_tables
+from .relstore import (DatabaseSchema, TableData, TableDataError, load_schema,
+                       load_tables)
 
 SIGNAL_THRESHOLD = 0.5
 
@@ -68,6 +69,10 @@ class SynthConfig:
     seed_lead_seconds: int | None = None
 
     def __post_init__(self):
+        if self.n_entities < 1:
+            raise ValueError("n_entities must be >= 1")
+        if self.n_events_per_entity < 0:
+            raise ValueError("n_events_per_entity must be >= 0")
         if self.w <= 0:
             raise ValueError("w must be positive")
         if not 0.0 <= self.noise_event_fraction <= 1.0:
@@ -217,5 +222,6 @@ def temporal_split(schema: DatabaseSchema, tables: TableData,
     val = order[n_train:n_train + n_val]
     test = order[n_train + n_val:]
     if not train or not val or not test:
-        raise ValueError("empty split")
+        raise TableDataError(f"empty split: the {n} rows of {task.target_table!r} give "
+                             f"{len(train)}/{len(val)}/{len(test)} train/val/test rows")
     return train, val, test

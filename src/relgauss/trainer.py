@@ -202,6 +202,19 @@ def predict_rows(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     return scores
 
 
+def score_test(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
+               tables: TableData, test_rows: list[int], config: TrainConfig,
+               samp_cfg: SamplingConfig, ablation: AblationFlags,
+               ) -> tuple[np.ndarray, str, float]:
+    """Eval-mode scores of the test rows, the task metric's name and its
+    value, as the run with ``config`` scores them at the end of ``train``."""
+    embed = EmbeddingCache(model, graph, tables)
+    rng = np.random.default_rng([config.rng_seed, 0, 2])
+    scores = predict_rows(model, graph, schema, tables, test_rows, embed, samp_cfg,
+                          ablation, config.rng_seed, rng, micro_batch=config.micro_batch)
+    return scores, *task_metric(schema, tables, test_rows, scores)
+
+
 def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
           tables: TableData, splits: tuple[list[int], list[int], list[int]],
           config: TrainConfig, samp_cfg: SamplingConfig,
@@ -288,12 +301,8 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     # restore best-val weights and score the test split
     for n, p in params.items():
         p.data = best_params[n].copy()
-    embed.refresh()
-    test_rng = np.random.default_rng([config.rng_seed, 0, 2])
-    test_scores = predict_rows(model, graph, schema, tables, test_rows, embed,
-                               samp_cfg, ablation, run_seed, test_rng,
-                               micro_batch=config.micro_batch)
-    _, test_metric = task_metric(schema, tables, test_rows, test_scores)
+    test_scores, _, test_metric = score_test(model, graph, schema, tables, test_rows,
+                                             config, samp_cfg, ablation)
     return TrainResult(records=records, best_params=best_params,
                        best_metric=best_metric, test_scores=test_scores,
                        test_metric=test_metric)

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from relgauss import cli, trainer
 from relgauss import numcore as nc
 from relgauss.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                           EXIT_VERIFY_FAIL, main)
-from relgauss.model import GelModel, ModelConfig, batch_subgraphs
+from relgauss.model import AblationFlags, ModelConfig, batch_subgraphs
 from relgauss.sampler import SamplingConfig
 from relgauss.trainer import TrainConfig
 
@@ -64,10 +65,28 @@ def test_gen_rejects_unknown_config_field(tmp_path, capsys):
 
 def test_gen_rejects_invalid_value(tmp_path, capsys):
     cfg = tmp_path / "gen.json"
-    cfg.write_text(json.dumps({"noise_event_fraction": 2.0}))
-    code, _, err = run(capsys, "gen", "--config", str(cfg),
-                       "--out", str(tmp_path / "db"))
+    for raw, field in (({"noise_event_fraction": 2.0}, "noise_event_fraction"),
+                       ({"n_events_per_entity": -1.0}, "n_events_per_entity"),
+                       ({"n_entities": 0}, "n_entities"),
+                       ({"n_entities": -3}, "n_entities")):
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run(capsys, "gen", "--config", str(cfg),
+                           "--out", str(tmp_path / "db"))
+        assert code == EXIT_CONFIG
+        assert_one_error_line(err)
+        assert field in err
+    assert not (tmp_path / "db").exists()
+
+
+def test_train_on_too_few_rows_to_split_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n_entities": 2}))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "db")]) == EXIT_OK
+    code, _, err = run(capsys, "train", "--data", str(tmp_path / "db"),
+                       "--out", str(tmp_path / "r"), "--quiet")
     assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "empty split" in err and "the 2 rows of 'entities'" in err
 
 
 def test_gen_unreadable_config(tmp_path, capsys):
@@ -92,6 +111,29 @@ def test_ingest_reports_graph(gen_dir, capsys):
 def test_ingest_missing_dir(tmp_path, capsys):
     code, _, err = run(capsys, "ingest", "--data", str(tmp_path / "nope"))
     assert code == EXIT_CONFIG
+
+
+def _without_seed_time_column(raw):
+    del raw["task"]["seed_time_column"]
+    return raw
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: [raw], "schema must be a JSON object, not list"),
+    (lambda raw: {"tables": raw["tables"]}, "schema has no 'task'"),
+    (lambda raw: dict(raw, tables=[{"name": "entities"}]),
+     "table 'entities' has no 'columns'"),
+    (_without_seed_time_column, "task has no 'seed_time_column'"),
+])
+def test_ingest_malformed_schema_exits_2(gen_dir, tmp_path, capsys, damage, message):
+    db = tmp_path / "db"
+    shutil.copytree(gen_dir, db)
+    raw = json.loads((db / "schema.json").read_text())
+    (db / "schema.json").write_text(json.dumps(damage(raw)))
+    code, _, err = run(capsys, "ingest", "--data", str(db))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert message in err
 
 
 def test_sample_outputs_subgraph_json(gen_dir, capsys):
@@ -170,9 +212,13 @@ def test_train_writes_metrics_and_checkpoint(trained, capsys):
     assert len(lines) == TRAIN_CONFIG["train"]["epochs"]
     rec = json.loads(lines[0])
     assert rec["epoch"] == 1 and rec["ablation"] == "full"
-    assert (out / "r1" / "checkpoint.json").exists() or \
-        (out / "r1" / "checkpoint").exists() or \
-        any(p.name.startswith("checkpoint") for p in (out / "r1").iterdir())
+    # the checkpoint carries every field of the run it was trained with
+    assert nc.checkpoint_run(str(out / "r1" / "checkpoint")) == {
+        "model": dataclasses.asdict(ModelConfig(**TRAIN_CONFIG["model"])),
+        "train": dataclasses.asdict(TrainConfig(**TRAIN_CONFIG["train"])),
+        "sampling": dataclasses.asdict(SamplingConfig(**TRAIN_CONFIG["sampling"])),
+        "ablation": dataclasses.asdict(AblationFlags()),
+    }
 
 
 def test_train_rerun_is_byte_identical(trained, gen_dir, capsys):
@@ -243,22 +289,101 @@ def test_train_sampling_deeper_than_model_exits_2(gen_dir, tmp_path, capsys):
     assert "max_hop" in err
 
 
+def assert_one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def edited_checkpoint(run_dir, dst, manifest=None, blob=None):
+    """A copy of ``run_dir``'s checkpoint at ``dst``, its manifest and blob
+    passed through the given edits."""
+    data = json.loads((run_dir / "checkpoint.json").read_text())
+    (dst / "checkpoint.json").write_text(json.dumps(manifest(data) if manifest else data))
+    data = (run_dir / "checkpoint.bin").read_bytes()
+    (dst / "checkpoint.bin").write_bytes(blob(data) if blob else data)
+    return str(dst / "checkpoint")
+
+
+def with_run(section, **fields):
+    """A manifest edit that sets ``fields`` in one section of the run."""
+    def edit(manifest):
+        manifest["run"][section].update(fields)
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--no-structural-sampling"], ["--no-gaussian-bias", "--no-gnn-branch"],
+    ["--no-semantic-refinement"],
+], ids=lambda flags: "+".join(f[2:] for f in flags) or "full")
+def test_eval_prints_the_test_metric_train_printed(trained, gen_dir, tmp_path, capsys,
+                                                   flags):
+    _, cfg = trained
+    code, out, err = run(capsys, "train", "--data", str(gen_dir), "--config", str(cfg),
+                         "--out", str(tmp_path / "r"), "--seed", "3", "--quiet", *flags)
+    assert code == EXIT_OK, err
+    code, text, err = run(capsys, "eval", "--data", str(gen_dir),
+                          "--checkpoint", str(tmp_path / "r" / "checkpoint"))
+    assert code == EXIT_OK, err
+    assert json.loads(text)["auc"] == json.loads(out)["test_metric"]
+
+
+@pytest.mark.parametrize("option", [
+    ["--config", "cfg.json"], ["--seed", "0"], ["--no-gaussian-bias"],
+    ["--no-structural-sampling"], ["--no-semantic-refinement"], ["--no-gnn-branch"],
+])
+def test_eval_takes_no_run_options(trained, gen_dir, capsys, option):
+    out, _ = trained
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--data", str(gen_dir),
+              "--checkpoint", str(out / "r1" / "checkpoint"), *option])
+    assert exc.value.code == EXIT_CONFIG
+
+
 def test_eval_sampling_deeper_than_model_exits_2(trained, gen_dir, tmp_path, capsys):
     out, _ = trained
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(TRAIN_CONFIG, sampling={"max_hop": 3})))
-    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--config", str(cfg),
-                       "--checkpoint", str(out / "r1" / "checkpoint"))
+    path = edited_checkpoint(out / "r1", tmp_path, with_run("sampling", max_hop=3))
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--checkpoint", path)
     assert code == EXIT_CONFIG
     assert_one_error_line(err)
     assert "max_hop" in err
 
 
+def without_run_field(section, field):
+    def edit(manifest):
+        del manifest["run"][section][field]
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("manifest, blob, message", [
+    # format 1 was the bare parameter list, with no run
+    (lambda m: m["params"], None, "retrain"),
+    (with_run("model", d=30, n_heads=4), None, "n_heads"),
+    (with_run("ablation", no_gnn_branch=1), None, "no_gnn_branch"),
+    (with_run("ablation", no_dropout=True), None, "no_dropout"),
+    (lambda m: dict(m, run={**m["run"], "ablation": None}), None, "AblationFlags"),
+    (lambda m: dict(m, run={**m["run"], "bogus": {}}), None, "bogus"),
+    # a field left out would silently take its default
+    (lambda m: dict(m, run={k: v for k, v in m["run"].items() if k != "sampling"}),
+     None, "every field"),
+    (without_run_field("train", "rng_seed"), None, "every field"),
+    (None, lambda b: b[:9] + bytes([b[9] ^ 1]) + b[10:], "sha256"),
+])
+def test_eval_damaged_checkpoint_exits_2(trained, gen_dir, tmp_path, capsys,
+                                         manifest, blob, message):
+    out, _ = trained
+    path = edited_checkpoint(out / "r1", tmp_path, manifest, blob)
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--checkpoint", path)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert message in err
+
+
 def test_eval_from_checkpoint(trained, gen_dir, capsys):
-    out, cfg = trained
-    code, text, _ = run(capsys, "eval", "--data", str(gen_dir), "--config",
-                        str(cfg), "--checkpoint", str(out / "r1" / "checkpoint"),
-                        "--seed", "0")
+    out, _ = trained
+    code, text, _ = run(capsys, "eval", "--data", str(gen_dir),
+                        "--checkpoint", str(out / "r1" / "checkpoint"))
     assert code == EXIT_OK
     info = json.loads(text)
     assert info["n_test"] > 0
@@ -275,42 +400,27 @@ def test_eval_batches_follow_train_micro_batch(trained, gen_dir, tmp_path, capsy
         return batch_subgraphs(subs)
 
     monkeypatch.setattr(trainer, "batch_subgraphs", counted)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(TRAIN_CONFIG,
-                                   train=dict(TRAIN_CONFIG["train"], micro_batch=3))))
-    code, text, _ = run(capsys, "eval", "--data", str(gen_dir), "--config", str(cfg),
-                        "--checkpoint", str(out / "r1" / "checkpoint"), "--seed", "0")
+    path = edited_checkpoint(out / "r1", tmp_path, with_run("train", micro_batch=3))
+    code, text, _ = run(capsys, "eval", "--data", str(gen_dir), "--checkpoint", path)
     assert code == EXIT_OK
     assert sum(sizes) == json.loads(text)["n_test"] > 3
     assert max(sizes) == 3
 
 
-def assert_one_error_line(err):
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), err
-
-
-def test_eval_checkpoint_of_another_width_exits_2(gen_dir, tmp_path, capsys):
-    schema, tables, _ = cli._load_dataset(str(gen_dir))
-    small = dict(TRAIN_CONFIG["model"], d=32)
-    model = GelModel(ModelConfig(**small), schema, tables)
-    nc.save_checkpoint(model.parameters(), str(tmp_path / "d32"))
-    cfg = tmp_path / "d64.json"
-    cfg.write_text(json.dumps(dict(TRAIN_CONFIG, model=dict(small, d=64))))
-    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--config", str(cfg),
-                       "--checkpoint", str(tmp_path / "d32"))
+def test_eval_checkpoint_of_another_width_exits_2(trained, gen_dir, tmp_path, capsys):
+    out, _ = trained
+    # the run says d=64, the parameters are those of the trained d=16 model
+    path = edited_checkpoint(out / "r1", tmp_path, with_run("model", d=64))
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--checkpoint", path)
     assert code == EXIT_CONFIG
     assert_one_error_line(err)
     assert "shape" in err
 
 
 def test_eval_truncated_checkpoint_exits_2(trained, gen_dir, tmp_path, capsys):
-    out, cfg = trained
-    for ext in (".json", ".bin"):
-        data = (out / "r1" / f"checkpoint{ext}").read_bytes()
-        (tmp_path / f"cut{ext}").write_bytes(data[:-8] if ext == ".bin" else data)
-    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--config", str(cfg),
-                       "--checkpoint", str(tmp_path / "cut"))
+    out, _ = trained
+    path = edited_checkpoint(out / "r1", tmp_path, blob=lambda b: b[:-8])
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--checkpoint", path)
     assert code == EXIT_CONFIG
     assert_one_error_line(err)
     assert "blob" in err
@@ -465,3 +575,13 @@ def test_train_on_a_bad_csv_row_exits_2(gen_dir, tmp_path, capsys, row, column):
     assert code == EXIT_CONFIG
     assert_one_error_line(err)
     assert "events.csv" in err and f"line {last_line}" in err and repr(column) in err
+
+
+def test_demo_pipeline_commands_parse():
+    with open(os.path.join(REPO, "scripts", "demo_pipeline.sh")) as fh:
+        lines = fh.read().replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if "relgauss.cli" in line]
+    assert [c[3] for c in commands] == ["gen", "ingest", "sample", "train", "eval",
+                                        "verify"]
+    for words in commands:
+        cli.build_parser().parse_args(words[words.index("relgauss.cli") + 1:])

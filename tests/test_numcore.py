@@ -1,6 +1,6 @@
 import gc
+import hashlib
 import json
-import os
 import warnings
 from types import SimpleNamespace
 
@@ -308,8 +308,14 @@ def test_checkpoint_roundtrip(tmp_path):
         "s": Parameter(np.array(1.5), "s"),
     }
     path = str(tmp_path / "ckpt")
-    nc.save_checkpoint(params, path)
-    assert os.path.exists(path + ".json") and os.path.exists(path + ".bin")
+    run = {"model": {"d": 2}, "note": [1, None]}
+    nc.save_checkpoint(params, path, run)
+    blob = (tmp_path / "ckpt.bin").read_bytes()
+    assert blob == b"".join(p.data.astype("<f8").tobytes() for p in params.values())
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    assert manifest["format"] == 2 and manifest["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert [e["shape"] for e in manifest["params"]] == [[3, 2], [3], []]
+    assert nc.checkpoint_run(path) == run
     originals = {k: p.data.copy() for k, p in params.items()}
     for p in params.values():
         p.data = np.zeros_like(p.data)
@@ -319,21 +325,10 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(p.data, originals[k])
 
 
-def test_load_checkpoint_reads_scalar_saved_as_length_one(tmp_path):
-    # checkpoints written before 0-d shapes were kept list a scalar as [1]
-    params = {"s": Parameter(np.array(1.5), "s")}
-    path = str(tmp_path / "ckpt")
-    nc.save_checkpoint(params, path)
-    (tmp_path / "ckpt.json").write_text(json.dumps([{"name": "s", "shape": [1], "offset": 0}]))
-    params["s"].data = np.array(0.0)
-    nc.load_checkpoint(params, path)
-    assert params["s"].data.shape == () and params["s"].data == 1.5
-
-
 def test_load_checkpoint_closes_its_files(tmp_path):
     params = {"w": Parameter(np.arange(3.0), "w")}
     path = str(tmp_path / "ckpt")
-    nc.save_checkpoint(params, path)
+    nc.save_checkpoint(params, path, {})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         nc.load_checkpoint(params, path)
@@ -345,21 +340,26 @@ def test_load_checkpoint_closes_its_files(tmp_path):
     ("rename", "no parameter 'b'"),
     ("reshape", r"'b' has shape \(2, 2\)"),
     ("truncate", "needs bytes"),
+    ("flip", "sha256"),
 ])
 def test_load_checkpoint_validates_before_assigning(tmp_path, damage, match):
     params = {"a": Parameter(np.arange(3.0), "a"),
               "b": Parameter(np.arange(9.0).reshape(3, 3), "b")}
     path = str(tmp_path / "ckpt")
-    nc.save_checkpoint(params, path)
+    nc.save_checkpoint(params, path, {})
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
     if damage == "rename":
-        manifest[1]["name"] = "c"
+        manifest["params"][1]["name"] = "c"
     elif damage == "reshape":
-        manifest[1]["shape"] = [2, 2]
+        manifest["params"][1]["shape"] = [2, 2]
     (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    blob = tmp_path / "ckpt.bin"
     if damage == "truncate":
-        blob = tmp_path / "ckpt.bin"
         blob.write_bytes(blob.read_bytes()[:-8])
+    elif damage == "flip":
+        data = bytearray(blob.read_bytes())
+        data[3] ^= 1
+        blob.write_bytes(bytes(data))
     for p in params.values():
         p.data = np.zeros_like(p.data)
     zeros = {k: p.data for k, p in params.items()}
@@ -373,10 +373,27 @@ def test_load_checkpoint_unreadable_files(tmp_path):
     params = {"a": Parameter(np.arange(3.0), "a")}
     with pytest.raises(nc.CheckpointError, match="cannot read"):
         nc.load_checkpoint(params, str(tmp_path / "missing"))
-    nc.save_checkpoint(params, str(tmp_path / "ckpt"))
+    nc.save_checkpoint(params, str(tmp_path / "ckpt"), {})
     (tmp_path / "ckpt.json").write_text("{not json")
     with pytest.raises(nc.CheckpointError, match="cannot read"):
         nc.load_checkpoint(params, str(tmp_path / "ckpt"))
+
+
+@pytest.mark.parametrize("manifest, match", [
+    # format 1 was the bare parameter list, with no run
+    ([{"name": "a", "shape": [3], "offset": 0}], "format 1.*retrain"),
+    ({"format": 3, "run": {}, "params": []}, "format 3"),
+    ({"run": {}, "params": []}, "format None"),
+    ({"format": 2, "run": [], "params": []}, "no run object"),
+])
+def test_checkpoint_manifest_of_another_format_is_refused(tmp_path, manifest, match):
+    params = {"a": Parameter(np.arange(3.0), "a")}
+    path = str(tmp_path / "ckpt")
+    nc.save_checkpoint(params, path, {})
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    for read in (nc.checkpoint_run, lambda p: nc.load_checkpoint(params, p)):
+        with pytest.raises(nc.CheckpointError, match=match):
+            read(path)
 
 
 def test_finite_diff_grad_on_quadratic():

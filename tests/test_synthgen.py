@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relgauss.relstore import build_graph
+from relgauss.relstore import TableDataError, build_graph
 from relgauss.synthgen import (SIGNAL_THRESHOLD, SynthConfig, generate_db,
                                recompute_labels, temporal_split, write_db)
 
@@ -104,6 +104,12 @@ def test_config_validation():
         SynthConfig(w=0)
     with pytest.raises(ValueError):
         SynthConfig(noise_event_fraction=1.5)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_entities"):
+            SynthConfig(n_entities=n)
+    with pytest.raises(ValueError, match="n_events_per_entity"):
+        SynthConfig(n_events_per_entity=-1.0)
+    SynthConfig(n_entities=1, n_events_per_entity=0.0)
 
 
 # -- temporal splitting -----------------------------------------------------
@@ -136,7 +142,7 @@ def test_split_invalid_fractions(small_db):
 def test_split_empty_part_rejected(tmp_path):
     cfg = SynthConfig(n_entities=2, rng_seed=1)
     schema, tables = generate_db(cfg, str(tmp_path))
-    with pytest.raises(ValueError, match="empty split"):
+    with pytest.raises(TableDataError, match="empty split: the 2 rows of 'entities'"):
         temporal_split(schema, tables, (0.9, 0.05, 0.05))
 
 
