@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -76,6 +77,9 @@ def _build_dataclass(cls, raw, overrides: dict | None = None):
     if bad:
         raise ConfigError(f"unknown {cls.__name__} fields: {sorted(bad)}")
     for name, value in merged.items():
+        # Python's json reads NaN and ±Infinity; no field takes them
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"invalid {cls.__name__}: {name}={value!r} is not finite")
         if not _fits(value, types[name]):
             raise ConfigError(f"invalid {cls.__name__}: {name}={value!r} "
                               f"is not of type {types[name]}")

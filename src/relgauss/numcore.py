@@ -1,8 +1,11 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Small tape-style autodiff: every op closes over its inputs and records a
-backward rule; ``backward`` replays them in reverse topological order.
-Leaf tensors (parameters) accumulate gradients across backward calls until
+backward rule; ``backward`` replays them in reverse topological order and
+consumes the tape as it goes: once a node's rule has run, the node lets go
+of its rule and its inputs, so the forward arrays are freed on the way
+down, and a second ``backward`` through the same tape raises. Leaf tensors
+(parameters) accumulate gradients across backward calls until
 ``zero_grad`` resets them.
 
 A layer is a ``Module``: its parameters are the ``Parameter``s held in its
@@ -69,7 +72,7 @@ class Tensor:
 
     @property
     def is_leaf(self) -> bool:
-        return not self._parents
+        return self._backward is None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -429,8 +432,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _consumed(grad: np.ndarray) -> None:
+    raise RuntimeError("backward through a tape that an earlier backward consumed")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-mode accumulation from a scalar loss into leaf gradients."""
+    """Reverse-mode accumulation from a scalar loss into leaf gradients.
+
+    Consumes the tape: each interior node drops its rule and its inputs
+    once the rule has run, and a later backward through it raises."""
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     topo: list[Tensor] = []
@@ -452,11 +462,17 @@ def backward(loss: Tensor) -> None:
         if not node.is_leaf:
             node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()  # the last reference the walk holds
+        if node.is_leaf:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
-        if not node.is_leaf:
-            node.grad = None  # fully accumulated and passed on: free it now
+        # fully accumulated and passed on: free the gradient, the rule's
+        # saved arrays and the inputs now
+        node.grad = None
+        node._backward = _consumed
+        node._parents = ()
 
 
 def zero_grad(params: Iterable[Parameter]) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -18,7 +19,8 @@ from .sampler import SampledSubgraph, SamplingConfig, sample
 
 
 class NumericAbort(RuntimeError):
-    """Raised when the training loss or a gradient stops being finite."""
+    """Raised when the training loss, a gradient or a parameter stops being
+    finite."""
 
 
 @dataclass
@@ -34,9 +36,11 @@ class TrainConfig:
     # larger effective step than the weight matrices
     bias_lr_multiplier: float = 2000.0
     # examples fused per forward pass; the optimizer still steps once per
-    # batch. Eval scores agree across sizes to about 1e-15, but training
-    # dropout masks are drawn per pass, so the random stream, and with it
-    # the trained weights, follow the micro-batch layout
+    # batch. Each micro-batch runs its own backward, which frees its tape,
+    # so a step holds one micro-batch's tape at a time. Eval scores agree
+    # across sizes to about 1e-15, but training dropout masks are drawn
+    # per pass, so the random stream, and with it the trained weights,
+    # follow the micro-batch layout
     micro_batch: int = 8
     # score every k-th validation row during training (test scoring always
     # uses the full split); >1 trades val-metric resolution for speed
@@ -215,12 +219,35 @@ def score_test(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     return scores, *task_metric(schema, tables, test_rows, scores)
 
 
+_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter number
+_KEPT_HEAP_BYTES = 1 << 27
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep up to 128 MB of freed heap memory for reuse.
+
+    Each micro-batch's backward frees its tape in the reverse order of
+    allocation, so the freed memory lies at the top of the heap. Past
+    glibc's default trim threshold it goes back to the OS, and the next
+    forward faults every page in again: at the train-bench config that is
+    five times the minor page faults of holding all of a step's tapes.
+    Elsewhere than glibc this does nothing; no computed number changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _KEPT_HEAP_BYTES)
+
+
 def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
           tables: TableData, splits: tuple[list[int], list[int], list[int]],
           config: TrainConfig, samp_cfg: SamplingConfig,
           ablation: AblationFlags = AblationFlags(),
           progress: bool = False) -> TrainResult:
     """Train with per-epoch embedding refresh; keeps the best-val snapshot."""
+    _keep_freed_heap()
     task_kind = schema.task.kind
     train_rows, val_rows, test_rows = splits
     targets = _target_values(schema, tables)
@@ -261,17 +288,24 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                                              graph, run_seed=run_seed, rng=rng,
                                              ablation=ablation)
                 item = loss_fn(scores, targets[chunk], task_kind).sum()
-                total = item if total is None else total + item
-            batch_loss = total * (1.0 / len(batch))
-            value = float(batch_loss.data)
-            if not np.isfinite(value):
-                raise NumericAbort(f"non-finite loss at epoch {epoch} step {step}")
-            nc.backward(batch_loss)
+                total = item.data if total is None else total + item.data
+                if not np.isfinite(total):
+                    raise NumericAbort(f"non-finite loss at epoch {epoch} step {step}")
+                # the chunks' gradients, each scaled by 1/len(batch), sum to
+                # the batch loss's; backward frees this chunk's tape, and
+                # nothing of the chunk is kept into the next one's forward
+                nc.backward(item * (1.0 / len(batch)))
+                del subs, scores, item
+            value = float(total * (1.0 / len(batch)))
             if not all(np.isfinite(p.grad).all() for p in params.values()):
                 raise NumericAbort(f"non-finite gradient at epoch {epoch} step {step}")
             global_step += 1
             lr = config.lr * min(1.0, global_step / config.warmup_steps)
             adam_step(params, state, lr, config.weight_decay, lr_mult)
+            for name, p in params.items():
+                if not np.isfinite(p.data).all():
+                    raise NumericAbort(f"non-finite parameter {name} after the update "
+                                       f"at epoch {epoch} step {step}")
             epoch_losses.append(value)
 
         embed.refresh()  # post-update embeddings for evaluation sampling

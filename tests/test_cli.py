@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -276,6 +277,90 @@ def test_train_invalid_config_value_exits_2(gen_dir, tmp_path, capsys, raw, fiel
     assert code == EXIT_CONFIG
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
+
+
+@pytest.mark.parametrize("command, raw, field", [
+    ("train", {"train": {"lr": float("nan")}}, "lr"),
+    ("train", {"train": {"bias_lr_multiplier": float("inf")}}, "bias_lr_multiplier"),
+    ("train", {"train": {"weight_decay": float("nan")}}, "weight_decay"),
+    ("train", {"model": {"dropout": float("-inf")}}, "dropout"),
+    ("gen", {"n_events_per_entity": float("nan")}, "n_events_per_entity"),
+    ("gen", {"noise_feature_dim_shift": float("inf")}, "noise_feature_dim_shift"),
+])
+def test_non_finite_config_value_exits_2(gen_dir, tmp_path, capsys, command, raw, field):
+    # Python's json writes and reads NaN and Infinity
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    args = ["--data", str(gen_dir), "--quiet"] if command == "train" else []
+    code, _, err = run(capsys, command, *args, "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert f"{field}=" in err and "not finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_value_in_a_checkpoint_run_exits_2(trained, gen_dir, tmp_path, capsys):
+    out, _ = trained
+    path = edited_checkpoint(out / "r1", tmp_path, with_run("train", lr=float("nan")))
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--checkpoint", path)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "lr=nan" in err
+
+
+def test_train_huge_lr_exits_3_naming_the_parameter(gen_dir, tmp_path, capsys):
+    # a finite lr whose first update overflows the bias scalars
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TRAIN_CONFIG, "train": {
+        **TRAIN_CONFIG["train"], "lr": 1e308, "epochs": 1, "max_steps_per_epoch": 1}}))
+    code, _, err = run(capsys, "train", "--data", str(gen_dir), "--config", str(cfg),
+                       "--out", str(tmp_path / "r"), "--quiet")
+    assert code == EXIT_NUMERIC
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric abort: non-finite parameter")
+    assert ".bias." in lines[0]
+
+
+# run in a child process so that the BLAS thread count takes effect
+BLAS_DRIVER = """
+import hashlib, sys
+from relgauss import cli
+train = cli.train
+
+def recorded(*args, **kwargs):
+    result = train(*args, **kwargs)
+    print(hashlib.sha256(result.test_scores.tobytes()).hexdigest())
+    return result
+
+cli.train = recorded
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_training_is_bit_identical_across_blas_threads(gen_dir, tmp_path):
+    # d=64 and 8-subgraph micro-batches make products big enough for
+    # OpenBLAS to split them across threads; about 5 s on 2 vCPUs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"d": 64, "n_layers": 2, "n_heads": 4, "pe_dim": 8},
+        "train": {"epochs": 2, "batch_size": 16, "max_steps_per_epoch": 2,
+                  "micro_batch": 8, "lr": 1e-3},
+        "sampling": {"stage1_budget": 32, "stage2_keep": 20}}))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", BLAS_DRIVER, "train", "--data",
+                               str(gen_dir), "--config", str(cfg), "--out", str(out),
+                               "--seed", "0", "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        files = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("metrics.jsonl", "checkpoint.bin")]
+        digests.append((proc.stdout.splitlines()[0], *files))
+    assert digests[0] == digests[1]
 
 
 def test_train_sampling_deeper_than_model_exits_2(gen_dir, tmp_path, capsys):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -103,6 +104,26 @@ def test_backward_frees_intermediate_gradients():
     nc.backward((y * y).sum())
     assert y.grad is None
     np.testing.assert_allclose(x.grad, [18.0, 36.0])  # d(9x^2)/dx
+
+
+def test_backward_consumes_the_tape():
+    x = Parameter(np.array([1.0, 2.0]), "x")
+    h = x * 3.0
+    h_data = weakref.ref(h.data)
+    y = h.exp()
+    del h
+    loss = y.sum()
+    nc.backward(loss)
+    gc.collect()
+    assert h_data() is None  # freed once the exp rule had run
+    np.testing.assert_allclose(x.grad, 3.0 * np.exp([3.0, 6.0]))
+    grad = x.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        nc.backward(loss)
+    # so does a new loss that reaches back into the consumed tape
+    with pytest.raises(RuntimeError, match="consumed"):
+        nc.backward((y * 2.0).sum())
+    np.testing.assert_array_equal(x.grad, grad)
 
 
 def test_rows_gather_and_scatter():

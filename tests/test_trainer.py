@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from relgauss import numcore as nc
 from relgauss import trainer
-from relgauss.model import AblationFlags, GelModel, ModelConfig
+from relgauss.model import AblationFlags, GelModel, ModelConfig, batch_subgraphs
+from relgauss.model import loss as loss_fn
 from relgauss.numcore import Parameter
 from relgauss.relstore import build_graph, load_schema, load_tables
 from relgauss.sampler import SamplingConfig, sample, structural_sample
@@ -193,6 +196,68 @@ def test_non_finite_gradient_raises_numeric_abort(small_setup, monkeypatch):
     monkeypatch.setattr(nc, "gelu", gelu_with_inf_backward)
     with pytest.raises(NumericAbort, match="gradient"):
         train(model, graph, schema, tables, splits, TCFG, SCFG)
+
+
+def test_huge_step_aborts_on_the_first_non_finite_parameter(small_setup):
+    schema, tables, graph, splits = small_setup
+    model = GelModel(MCFG, schema, tables)
+    # finite, but the first update of the bias scalars overflows
+    cfg = TrainConfig(lr=1e308, epochs=1, max_steps_per_epoch=1, batch_size=16,
+                      micro_batch=4)
+    with pytest.raises(NumericAbort, match=r"non-finite parameter \S+\.bias\.\w+ .* step 0"):
+        train(model, graph, schema, tables, splits, cfg, SCFG)
+
+
+def test_per_chunk_backward_matches_one_backward_of_the_summed_loss(small_setup):
+    schema, tables, graph, splits = small_setup
+    model = GelModel(MCFG, schema, tables)  # dropout on
+    params = model.parameters()
+    embed = EmbeddingCache(model, graph, tables)
+    targets = trainer._target_values(schema, tables)
+    rows = [int(r) for r in splits[0][:9]]
+    chunks = [rows[:4], rows[4:6], rows[6:]]  # unequal sizes
+    subs = [[trainer.sample_row(graph, schema, tables, r, embed, SCFG, AblationFlags())
+             for r in chunk] for chunk in chunks]
+
+    def chunk_losses(seed):
+        rng = np.random.default_rng(seed)
+        for chunk, chunk_subs in zip(chunks, subs):
+            scores = model.forward_batch(batch_subgraphs(chunk_subs), tables, graph,
+                                         run_seed=0, rng=rng)
+            yield loss_fn(scores, targets[chunk], schema.task.kind).sum()
+
+    nc.zero_grad(params.values())
+    for item in chunk_losses(5):
+        nc.backward(item * (1.0 / len(rows)))
+    per_chunk = {n: p.grad.copy() for n, p in params.items()}
+
+    nc.zero_grad(params.values())
+    items = list(chunk_losses(5))
+    total = items[0]
+    for item in items[1:]:
+        total = total + item
+    nc.backward(total * (1.0 / len(rows)))
+    assert any(np.any(g != 0) for g in per_chunk.values())
+    for name, p in params.items():
+        assert np.array_equal(p.grad, per_chunk[name]), name
+
+
+def test_training_step_holds_one_micro_batch_tape(small_setup):
+    schema, tables, graph, splits = small_setup
+    peaks = {}
+    for n_chunks in (1, 8):
+        model = GelModel(MCFG, schema, tables)
+        cfg = TrainConfig(lr=1e-3, epochs=1, max_steps_per_epoch=1,
+                          batch_size=4 * n_chunks, micro_batch=4)
+        tracemalloc.start()
+        try:
+            train(model, graph, schema, tables, splits, cfg, SCFG)
+            peaks[n_chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # holding all eight micro-batches' tapes until one backward took 4.8
+    # times the peak of one
+    assert peaks[8] <= 1.5 * peaks[1], peaks
 
 
 def test_embedding_cache_memoizes_and_refreshes(small_setup, monkeypatch):
