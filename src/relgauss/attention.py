@@ -40,21 +40,6 @@ def inverse_softplus(y: float) -> float:
     return float(y + math.log(-math.expm1(-y))) if y > 1e-8 else math.log(math.expm1(y))
 
 
-def gaussian_kernel(delta_t: float, mu: float, sigma: float) -> float:
-    """exp(-(dt-mu)^2 / (2 sigma^2)), the peak-1 temporal kernel."""
-    if sigma < SIGMA_MIN_DAYS:
-        raise ValueError(f"sigma must be >= {SIGMA_MIN_DAYS}")
-    z = (delta_t - mu) / sigma
-    return math.exp(-0.5 * z * z)
-
-
-def grad_mu_closed_form(delta_t: float, mu: float, sigma: float) -> float:
-    """d kernel / d mu = kernel * (dt - mu) / sigma^2 (restoring force)."""
-    if sigma < SIGMA_MIN_DAYS:
-        raise ValueError(f"sigma must be >= {SIGMA_MIN_DAYS}")
-    return gaussian_kernel(delta_t, mu, sigma) * (delta_t - mu) / sigma**2
-
-
 class GaussianBiasParams(Module):
     """Per-head (mu, sigma, affine) of the temporal bias, all in days."""
 
@@ -69,6 +54,11 @@ class GaussianBiasParams(Module):
 
     def sigma_values(self) -> np.ndarray:
         return np.logaddexp(0.0, self.rho.data) + SIGMA_MIN_DAYS
+
+    def __call__(self, delta_days: np.ndarray) -> Tensor:
+        """The (..., heads, n, n) bias of (..., n, n) pairwise deltas in days."""
+        return nc.gaussian_bias(delta_days, self.mu, self.rho, self.proj_scale,
+                                self.proj_shift, SIGMA_MIN_DAYS)
 
 
 def pairwise_delta_days(delta_t_seconds: np.ndarray) -> np.ndarray:
@@ -125,9 +115,7 @@ class AttentionLayer(Module):
         if use_bias:
             # one |dt_i - dt_j| matrix per subgraph, shared by all heads
             dt = batch.delta_t[np.where(pad, 0, batch.index)]
-            scores = scores + nc.gaussian_bias(
-                pairwise_delta_days(dt), self.bias.mu, self.bias.rho,
-                self.bias.proj_scale, self.bias.proj_shift, SIGMA_MIN_DAYS)
+            scores = scores + self.bias(pairwise_delta_days(dt))
         if pad.any():
             # padded keys get no weight, and padded query rows are dropped on
             # the way back, so padding passes no gradient to any parameter

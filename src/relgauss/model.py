@@ -18,7 +18,6 @@ maps each parameter's name, its name in a checkpoint, to the parameter.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,7 +104,7 @@ class GelModel(Module):
         return nc.sigmoid(self.eta_raw)
 
     def eta_value(self) -> float:
-        return float(1.0 / (1.0 + math.exp(-float(self.eta_raw.data))))
+        return float(nc.logistic(self.eta_raw.data))
 
     def bias_snapshot(self) -> tuple[list[float], list[float]]:
         """Flattened per-layer-per-head (mu, sigma), in days."""

@@ -173,15 +173,6 @@ class Tensor:
 
     # -- elementwise nonlinearities --------------------------------------
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def abs(self) -> "Tensor":
         def backward(g):
             if self.requires_grad:
@@ -293,7 +284,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
+def logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)), with exp taken of -|x| only, so it never overflows."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -301,7 +292,7 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     x = Tensor._coerce(x)
-    out_data = _logistic(x.data)
+    out_data = logistic(x.data)
 
     def backward(g):
         if x.requires_grad:
@@ -316,7 +307,7 @@ def softplus(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accum(g * _logistic(x.data))
+            x._accum(g * logistic(x.data))
 
     return Tensor._make(out_data, (x,), backward)
 

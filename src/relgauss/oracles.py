@@ -1,11 +1,13 @@
-"""Independent numerical verifiers for the model's analytical guarantees.
+"""Numerical verifiers for the model's analytical guarantees.
 
-Everything here is deliberately brute-force and self-contained: Katz
-centrality by explicit series summation (cross-checked against a dense
-linear solve), the structural-loss bound, aggregation SNR before/after
-refinement, the temporal-bias gradient, and the Euler attention-ratio
-construction. None of it shares code with the model beyond the scalar
-kernel helpers, so agreement is meaningful evidence.
+The katz, structural and snr checks test the math behind the sampler by
+brute force and share no code with the model: Katz centrality by explicit
+series summation against a dense linear solve, the structural-loss bound,
+and aggregation SNR before/after refinement. The mu_gradient and euler
+checks drive the code the model runs (``nc.gaussian_bias``,
+``AttentionLayer.attend``, ``trainer.adam_step``) against references
+written here: the scalar kernel, its closed-form derivatives and finite
+differences.
 """
 
 from __future__ import annotations
@@ -14,9 +16,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from .attention import gaussian_kernel, grad_mu_closed_form
-from .numcore import Parameter, Tensor, backward
+from . import numcore as nc
+from .attention import SIGMA_MIN_DAYS, AttentionLayer, GaussianBiasParams
+from .encoders import SECONDS_PER_DAY
+from .model import batch_subgraphs
+from .numcore import Tensor
+from .relstore import CsrAdjacency
+from .sampler import SampledSubgraph
+from .trainer import AdamState, adam_step
 
 
 class ConvergenceError(ValueError):
@@ -118,25 +127,6 @@ def structural_loss_ratio(adjacency: np.ndarray, params: KatzParams) -> float:
     return float(np.linalg.norm(tail) / denom)
 
 
-def hop_sensitivity(adjacency: np.ndarray, seed: int, removed_node: int,
-                    params: KatzParams) -> float:
-    """|Katz(seed) - Katz(seed with removed_node deleted)|.
-
-    The attenuation is resolved on the full graph and reused on the
-    reduced one so the comparison isolates the structural change.
-    """
-    if removed_node == seed:
-        raise ValueError("cannot remove the seed itself")
-    A = np.asarray(adjacency, dtype=np.float64)
-    lam = resolve_lambda(A, params)
-    fixed = KatzParams(lam=lam, tol=params.tol, max_k=params.max_k)
-    full = katz_centrality(A, fixed)[seed]
-    keep = [i for i in range(A.shape[0]) if i != removed_node]
-    sub = A[np.ix_(keep, keep)]
-    reduced = katz_centrality(sub, fixed)[keep.index(seed)]
-    return float(abs(full - reduced))
-
-
 # ---------------------------------------------------------------------------
 # aggregation SNR
 # ---------------------------------------------------------------------------
@@ -182,124 +172,150 @@ def verify_snr_refinement(trials: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# temporal-bias gradient
+# temporal-bias gradient, through the shipped op
 # ---------------------------------------------------------------------------
 
 
-def _autodiff_grad_mu(delta_t: float, mu: float, sigma: float) -> float:
-    mu_p = Parameter(np.array(float(mu)), "mu")
-    z = (Tensor(np.array(float(delta_t))) - mu_p) * (1.0 / sigma)
-    kernel = (z * z * -0.5).exp()
-    backward(kernel)
-    return float(mu_p.grad)
+def gaussian_kernel(delta_t: float, mu: float, sigma: float) -> float:
+    """exp(-(dt-mu)^2 / (2 sigma^2)), the peak-1 temporal kernel."""
+    if sigma < SIGMA_MIN_DAYS:
+        raise ValueError(f"sigma must be >= {SIGMA_MIN_DAYS}")
+    z = (delta_t - mu) / sigma
+    return math.exp(-0.5 * z * z)
 
 
-def _central_diff_grad_mu(kernel_fn, delta_t: float, mu: float, sigma: float,
-                          h: float | None = None) -> float:
-    h = h if h is not None else max(1e-6, abs(mu) * 1e-6)
-    return (kernel_fn(delta_t, mu + h, sigma) - kernel_fn(delta_t, mu - h, sigma)) / (2 * h)
+def grad_mu_closed_form(delta_t: float, mu: float, sigma: float) -> float:
+    """d kernel / d mu = kernel * (dt - mu) / sigma^2 (restoring force)."""
+    return gaussian_kernel(delta_t, mu, sigma) * (delta_t - mu) / sigma**2
 
 
-def ascend_mu(delta_t: float, sigma: float, mu0: float, steps: int = 200,
-              lr: float | None = None) -> list[float]:
-    """Adam-normalized gradient ascent on the kernel; returns the mu trace.
+def _gradient_margin(bias: GaussianBiasParams, delta: np.ndarray,
+                     weights: np.ndarray) -> float:
+    """The larger of the tape's and a thousandth of central differences'
+    error against the closed forms, over the mu and rho gradients of
+    ``sum(weights * bias(delta))``, relative to the sum of |terms|."""
 
-    The raw gradient underflows far from delta_t (the kernel is tiny), so a
-    plain fixed-step ascent stalls; normalizing by the running second moment
-    makes each move about lr regardless of gradient magnitude.
-    """
-    lr = lr if lr is not None else sigma / 20.0
-    mu = float(mu0)
-    m = v = 0.0
-    b1, b2, eps = 0.9, 0.999, 1e-12
-    trace = [mu]
-    for t in range(1, steps + 1):
-        g = grad_mu_closed_form(delta_t, mu, sigma)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        mu += lr * m_hat / (math.sqrt(v_hat) + eps)
-        trace.append(mu)
+    def loss() -> Tensor:
+        return (bias(delta) * Tensor(weights)).sum()
+
+    nc.zero_grad(bias.parameters())
+    nc.backward(loss())
+    sigma = bias.sigma_values()
+    margin = 0.0
+    for h in range(len(sigma)):
+        mu, s = float(bias.mu.data[h]), float(sigma[h])
+        w = bias.proj_scale.data[h] * weights[..., h, :, :].ravel()
+        d_mu = w * [grad_mu_closed_form(float(x), mu, s) for x in delta.ravel()]
+        # d kernel / d sigma = d kernel / d mu * (dt - mu) / sigma
+        d_rho = d_mu * (delta.ravel() - mu) / s * expit(bias.rho.data[h])
+        for param, terms in ((bias.mu, d_mu), (bias.rho, d_rho)):
+            closed, scale = terms.sum(), np.abs(terms).sum()
+            theta, step = param.data[h], 1e-5 * s  # balances truncation and rounding
+            param.data[h] = theta + step
+            up = float(loss().data)
+            param.data[h] = theta - step
+            numeric = (up - float(loss().data)) / (2 * step)
+            param.data[h] = theta
+            margin = max(margin, abs(param.grad[h] - closed) / scale,
+                         abs(numeric - closed) / scale / 1e3)
+    return float(margin)
+
+
+def ascend_bias(delta_t: float, sigma: float, mu0: float,
+                steps: int = 200) -> list[float]:
+    """The mu trace of ``adam_step`` at lr sigma/20 on minus the bias at
+    ``delta_t``. Far from delta_t the gradient underflows, but Adam's
+    normalization makes each move about lr regardless."""
+    bias = GaussianBiasParams("ascent", 1, mu_init_days=mu0, sigma_init_days=sigma)
+    state = AdamState()
+    trace = [float(bias.mu.data[0])]
+    for _ in range(steps):
+        nc.zero_grad(bias.parameters())
+        nc.backward(-bias(np.array([[float(delta_t)]])).sum())
+        adam_step({bias.mu.name: bias.mu}, state, sigma / 20.0)
+        trace.append(float(bias.mu.data[0]))
     return trace
 
 
 def verify_mu_gradient(samples: int = 1000,
-                       rng: np.random.Generator | None = None,
-                       kernel_fn=gaussian_kernel) -> dict:
-    """Three-way gradient agreement plus a recovery-by-ascent check.
-
-    ``kernel_fn`` is injectable so a deliberately wrong kernel can be shown
-    to fail (its finite differences then disagree with the closed form).
-    """
+                       rng: np.random.Generator | None = None) -> dict:
+    """``nc.gaussian_bias``'s tape gradients match the closed forms to 1e-8
+    and central differences match them to 1e-5, on random multi-head
+    deltas and upstream weights; they restore mu towards the delta; and
+    ``ascend_bias`` from 5 sigma below an event ends within sigma/10."""
     rng = rng or np.random.default_rng(0)
     worst = 0.0
     ok = True
     for _ in range(samples):
-        dt = float(rng.uniform(0.0, 30.0))
-        sigma = float(rng.uniform(0.5, 10.0))
-        mu = float(dt + rng.uniform(-2.0, 2.0) * sigma)
-        closed = grad_mu_closed_form(dt, mu, sigma)
-        auto = _autodiff_grad_mu(dt, mu, sigma)
-        numeric = _central_diff_grad_mu(kernel_fn, dt, mu, sigma)
-        denom = max(abs(closed), 1e-12)
-        rel_auto = abs(auto - closed) / denom
-        rel_num = abs(numeric - closed) / denom
-        worst = max(worst, rel_auto, rel_num / 1e3)  # scale to the 1e-8 budget
-        if rel_auto > 1e-8 or rel_num > 1e-5:
+        n_heads, n_batch, n = (int(k) for k in rng.integers([1, 1, 2], [4, 3, 5]))
+        delta = rng.uniform(0.0, 30.0, size=(n_batch, n, n))
+        # every head centred within 2 sigma of one delta, so no head's
+        # kernel underflows everywhere
+        anchor = float(rng.choice(delta.ravel()))
+        bias = GaussianBiasParams("check", n_heads)
+        bias.rho.data = rng.uniform(-0.4, 10.0, size=n_heads)  # sigma 0.5 to 10
+        bias.mu.data = anchor + rng.uniform(-2.0, 2.0, size=n_heads) * bias.sigma_values()
+        bias.proj_scale.data = rng.uniform(0.5, 2.0, size=n_heads)
+        bias.proj_shift.data = rng.normal(size=n_heads)
+        weights = rng.normal(size=(n_batch, n_heads, n, n))
+        worst = max(worst, _gradient_margin(bias, delta, weights))
+        # restoring force: with a positive scale, d bias / d mu at a single
+        # delta has the sign of delta - mu
+        nc.zero_grad(bias.parameters())
+        nc.backward(bias(np.array([[anchor]])).sum())
+        if np.any(np.sign(bias.mu.grad) != np.sign(anchor - bias.mu.data)):
             ok = False
-        if abs(dt - mu) > 1e-9 and math.copysign(1.0, closed) != math.copysign(1.0, dt - mu):
+    for dt, sigma in rng.uniform([5.0, 0.5], [30.0, 5.0], size=(20, 2)):
+        if abs(ascend_bias(dt, sigma, dt - 5 * sigma)[-1] - dt) > sigma / 10.0:
             ok = False
-    # restoring-force check: ascent from 5 sigma below recovers delta_t
-    for _ in range(20):
-        dt = float(rng.uniform(5.0, 30.0))
-        sigma = float(rng.uniform(0.5, 5.0))
-        trace = ascend_mu(dt, sigma, dt - 5 * sigma)
-        if abs(trace[-1] - dt) > sigma / 10.0:
-            ok = False
-    return {"check": "mu_gradient", "trials": samples, "passed": ok,
-            "worst_margin": worst}
+    return {"check": "mu_gradient", "trials": samples,
+            "passed": ok and worst <= 1e-8, "worst_margin": worst}
 
 
 # ---------------------------------------------------------------------------
-# Euler attention ratio
+# Euler attention ratio, through the shipped attention
 # ---------------------------------------------------------------------------
 
 
-def _softmax_pair(a: float, b: float) -> tuple[float, float]:
-    m = max(a, b)
-    ea, eb = math.exp(a - m), math.exp(b - m)
-    s = ea + eb
-    return ea / s, eb / s
-
-
-def euler_ratio_factor(content_logit: float, kernel_rel: float = 1.0,
-                       kernel_noise: float = 0.0) -> float:
-    """(alpha_rel/alpha_noise) with bias over the same ratio without it."""
-    a_rel, a_noise = _softmax_pair(content_logit + kernel_rel,
-                                   content_logit + kernel_noise)
-    b_rel, b_noise = _softmax_pair(content_logit, content_logit)
-    return (a_rel / a_noise) / (b_rel / b_noise)
+def euler_ratio_factor(content_logit: float,
+                       proj_scale: float = 1.0) -> tuple[float, float]:
+    """``AttentionLayer.attend``'s odds of two keys with equal content
+    logits whose kernels are 1 and 0, so e^proj_scale, and the largest
+    weight on a padded key, over a 2-node subgraph (padded to 3) and a
+    3-node one. Every content logit is ``content_logit``; with mu 0 and
+    sigma at its floor, the key at delta 0 gets the kernel 1, keys a day
+    or more away 0."""
+    layer = AttentionLayer("euler", d=1, n_heads=1, rng=np.random.default_rng(0),
+                           dropout_rate=0.0)
+    layer.W_Q.data[:] = content_logit
+    layer.W_K.data[:] = 1.0
+    layer.bias.rho.data[:] = -50.0  # sigma = SIGMA_MIN_DAYS to double precision
+    layer.bias.proj_scale.data[:] = proj_scale
+    subs = [SampledSubgraph(np.arange(n), np.zeros(n, dtype=np.int64),
+                            np.arange(n) * SECONDS_PER_DAY,
+                            CsrAdjacency.from_pairs([], [], n), 0.0) for n in (2, 3)]
+    with nc.no_grad():
+        _, (weights,) = layer.attend(Tensor(np.ones((5, 1))), batch_subgraphs(subs),
+                                     return_weights=True)
+    pair = weights[0]  # the 2-node subgraph: keys 0 and 1, key 2 is padding
+    return float(pair[0, 0] / pair[0, 1]), float(pair[:2, 2].max())
 
 
 def verify_euler_ratio(trials: int = 20,
                        rng: np.random.Generator | None = None) -> dict:
-    """Two-node limit: a unit kernel gap multiplies the odds by exactly e."""
+    """A unit kernel gap multiplies the attention odds by exactly e."""
     rng = rng or np.random.default_rng(0)
-    kernel_noise = math.exp(-5000)  # underflows to exactly 0.0
     worst = 0.0
     ok = True
     for i in range(trials):
         c = 0.0 if i == 0 else float(rng.uniform(-5.0, 5.0))
-        factor = euler_ratio_factor(c, 1.0, kernel_noise)
-        err = abs(factor - math.e)
-        worst = max(worst, err)
-        if err > 1e-6:
+        odds, padded = euler_ratio_factor(c)
+        worst = max(worst, abs(odds - math.e))
+        # the padded key gets nothing, and zero bias has no effect
+        if padded != 0.0 or euler_ratio_factor(c, proj_scale=0.0)[0] != 1.0:
             ok = False
-        if euler_ratio_factor(c, 0.0, 0.0) != 1.0:  # zero bias: no effect
-            ok = False
-    return {"check": "euler_ratio", "trials": trials, "passed": ok,
-            "worst_margin": worst}
+    return {"check": "euler_ratio", "trials": trials,
+            "passed": ok and worst <= 1e-6, "worst_margin": worst}
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from .sampler import SampledSubgraph, SamplingConfig, sample
 
 
 class NumericAbort(RuntimeError):
-    """Raised when the training loss, a gradient or a parameter stops being
-    finite."""
+    """Raised when the training loss, a gradient, a parameter or the
+    validation metric stops being finite."""
 
 
 @dataclass
@@ -315,6 +315,8 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                                   samp_cfg, ablation, run_seed, eval_rng,
                                   micro_batch=config.micro_batch)
         _, val_metric = task_metric(schema, tables, val_sub, val_scores)
+        if not np.isfinite(val_metric):
+            raise NumericAbort(f"non-finite validation metric at epoch {epoch}")
         mus, sigmas = model.bias_snapshot()
         record = {
             "epoch": epoch,

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from relgauss import numcore as nc
-from relgauss.attention import AttentionLayer, gaussian_kernel
+from relgauss.attention import AttentionLayer
 from relgauss.cli import main as cli_main
 from relgauss.model import (AblationFlags, GelModel, ModelConfig, batch_subgraphs,
                             loss)
 from relgauss.numcore import Tensor
-from relgauss.oracles import (KatzParams, ascend_mu, euler_ratio_factor,
+from relgauss.oracles import (KatzParams, ascend_bias, euler_ratio_factor,
                               katz_centrality, katz_linear_solve,
                               random_er_adjacency, resolve_lambda, snr,
                               structural_loss_ratio, verify_mu_gradient,
@@ -142,7 +142,7 @@ def test_kernel_gradient_three_way_agreement_and_recovery():
     for _ in range(10):
         dt = float(rng.uniform(5.0, 30.0))
         sigma = float(rng.uniform(0.5, 5.0))
-        trace = ascend_mu(dt, sigma, dt - 5.0 * sigma, steps=200)
+        trace = ascend_bias(dt, sigma, dt - 5.0 * sigma, steps=200)
         assert abs(trace[-1] - dt) <= sigma / 10.0
     assert time.monotonic() - t0 < 10.0
 
@@ -154,11 +154,13 @@ def test_kernel_gradient_three_way_agreement_and_recovery():
 
 def test_unit_kernel_gap_multiplies_attention_odds_by_e():
     rng = np.random.default_rng(11)
-    base = euler_ratio_factor(0.0, 1.0, 0.0)
+    base, padded = euler_ratio_factor(0.0)
     assert abs(base - math.e) <= 1e-6
+    assert padded == 0.0
     for _ in range(50):
-        shifted = euler_ratio_factor(float(rng.uniform(-8, 8)), 1.0, 0.0)
+        shifted, padded = euler_ratio_factor(float(rng.uniform(-8, 8)))
         assert abs(shifted - math.e) <= 1e-6  # content-shift invariant
+        assert padded == 0.0
 
 
 # ---------------------------------------------------------------------------

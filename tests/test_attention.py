@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgauss import numcore as nc
-from relgauss.attention import (INVALID_DELTA_DAYS, PAD, SIGMA_MIN_DAYS,
-                                AttentionLayer, GaussianBiasParams,
-                                gaussian_kernel,
-                                grad_mu_closed_form, inverse_softplus,
+from relgauss.attention import (INVALID_DELTA_DAYS, PAD, AttentionLayer,
+                                GaussianBiasParams, inverse_softplus,
                                 pairwise_delta_days)
 from relgauss.encoders import SECONDS_PER_DAY
 from relgauss.numcore import Tensor
+from relgauss.oracles import gaussian_kernel, grad_mu_closed_form
 
 
 def test_kernel_peaks_at_mu_with_value_one():
@@ -73,16 +72,10 @@ def test_pairwise_delta_invalid_entries_capped():
     assert d[0, 2] == 1.0
 
 
-def gaussian_bias_of(p: GaussianBiasParams, dt: np.ndarray):
-    """(heads, n, n) additive bias of all heads: affine(kernel(|dt_i - dt_j|))."""
-    return nc.gaussian_bias(pairwise_delta_days(dt), p.mu, p.rho, p.proj_scale,
-                            p.proj_shift, SIGMA_MIN_DAYS)
-
-
 def test_bias_matrix_matches_scalar_kernel():
     p = GaussianBiasParams("b", 2, mu_init_days=1.0, sigma_init_days=4.0)
     dt = np.array([0.0, 86400.0, 5 * 86400.0])
-    B = gaussian_bias_of(p, dt)
+    B = p(pairwise_delta_days(dt))
     assert B.shape == (2, 3, 3)
     d = pairwise_delta_days(dt)
     expect = np.vectorize(lambda x: gaussian_kernel(x, 1.0, 4.0))(d)
@@ -94,7 +87,7 @@ def test_bias_matrix_gradient_matches_closed_form():
     p = GaussianBiasParams("b", 1, mu_init_days=2.0, sigma_init_days=3.0)
     dt = np.array([0.0, 4 * 86400.0])
     nc.zero_grad(p.parameters())
-    B = gaussian_bias_of(p, dt)
+    B = p(pairwise_delta_days(dt))
     nc.backward(B.sum())
     d = pairwise_delta_days(dt)
     sigma = p.sigma_values()[0]

@@ -322,6 +322,22 @@ def test_train_huge_lr_exits_3_naming_the_parameter(gen_dir, tmp_path, capsys):
     assert ".bias." in lines[0]
 
 
+# the overflow that makes the scores NaN warns on its way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_non_finite_validation_metric_exits_3(gen_dir, tmp_path, capsys):
+    # one update leaves every parameter finite, but so large that the eval
+    # forward gives NaN scores
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TRAIN_CONFIG, "train": {
+        **TRAIN_CONFIG["train"], "lr": 1e200, "bias_lr_multiplier": 1.0,
+        "epochs": 1, "max_steps_per_epoch": 1}}))
+    code, _, err = run(capsys, "train", "--data", str(gen_dir), "--config", str(cfg),
+                       "--out", str(tmp_path / "r"), "--quiet")
+    assert code == EXIT_NUMERIC
+    assert err.strip().splitlines() == [
+        "numeric abort: non-finite validation metric at epoch 1"]
+
+
 # run in a child process so that the BLAS thread count takes effect
 BLAS_DRIVER = """
 import hashlib, sys

@@ -57,6 +57,15 @@ def test_eta_initializes_to_half(tiny_db):
     assert float(model.eta().data) == pytest.approx(0.5)
 
 
+def test_eta_value_is_the_forward_gate_at_any_raw_value(tiny_db):
+    model = make_model(tiny_db)
+    for raw in (-1000.0, -3.7, 0.0, 2.9, 1000.0):
+        model.eta_raw.data = np.array(raw)
+        assert model.eta_value() == float(model.eta().data)
+    model.eta_raw.data = np.array(-1000.0)
+    assert model.eta_value() == 0.0
+
+
 def test_loss_binary_formula():
     s = Tensor(np.array(0.7))
     val = float(loss(s, 1.0, "binary_classification").data)

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from relgauss import attention
+from relgauss import numcore as nc
+from relgauss.cli import EXIT_OK, EXIT_VERIFY_FAIL, main
+from relgauss.numcore import Tensor
 from relgauss.oracles import (LOW_RELEVANCE, ConvergenceError, KatzParams,
-                              ascend_mu, euler_ratio_factor, hop_sensitivity,
+                              ascend_bias, euler_ratio_factor,
                               katz_centrality, katz_linear_solve,
                               random_er_adjacency, resolve_lambda, run_suite,
                               snr, spectral_radius, structural_loss_ratio,
@@ -63,6 +68,25 @@ def test_structural_ratio_zero_graph():
     assert structural_loss_ratio(np.zeros((4, 4)), KatzParams(lam=0.1)) == 0.0
 
 
+def hop_sensitivity(adjacency: np.ndarray, seed: int, removed_node: int,
+                    params: KatzParams) -> float:
+    """|Katz(seed) - Katz(seed with removed_node deleted)|.
+
+    The attenuation is resolved on the full graph and reused on the
+    reduced one so the comparison isolates the structural change.
+    """
+    if removed_node == seed:
+        raise ValueError("cannot remove the seed itself")
+    A = np.asarray(adjacency, dtype=np.float64)
+    lam = resolve_lambda(A, params)
+    fixed = KatzParams(lam=lam, tol=params.tol, max_k=params.max_k)
+    full = katz_centrality(A, fixed)[seed]
+    keep = [i for i in range(A.shape[0]) if i != removed_node]
+    sub = A[np.ix_(keep, keep)]
+    reduced = katz_centrality(sub, fixed)[keep.index(seed)]
+    return float(abs(full - reduced))
+
+
 def test_hop_sensitivity_direct_neighbor_dominates():
     # path 0-1-2: removing 1 disconnects everything from the seed,
     # removing 2 only prunes 2-hop walks
@@ -118,7 +142,7 @@ def test_verify_snr_refinement_all_pass():
 
 
 def test_ascent_recovers_event_time():
-    trace = ascend_mu(delta_t=20.0, sigma=2.0, mu0=10.0)
+    trace = ascend_bias(delta_t=20.0, sigma=2.0, mu0=10.0)
     assert abs(trace[-1] - 20.0) < 0.2
     # the ascent approaches the target: once within one lr-step of the
     # peak it may jitter, but it never wanders back out
@@ -136,39 +160,90 @@ def test_verify_mu_gradient_passes():
     assert report["worst_margin"] < 1e-8
 
 
-def test_verify_mu_gradient_detects_wrong_kernel():
-    """Mutation check: a kernel missing the factor 2 in the denominator
-    produces finite differences that disagree with the closed form."""
+def gaussian_bias_variant(half: float, mu_grad_sigma_power: int):
+    """A copy of ``nc.gaussian_bias`` whose kernel is exp(-half z^2) and
+    whose mu gradient is divided by sigma**mu_grad_sigma_power; (0.5, 1)
+    is the shipped op."""
 
-    def wrong_kernel(dt, mu, sigma):
-        z = (dt - mu) / sigma
-        return math.exp(-z * z)  # missing the 1/2
+    def op(delta_days, mu, rho, scale, shift, sigma_min=0.0):
+        d = np.asarray(delta_days, dtype=np.float64)[..., None, :, :]
+        per_head = (slice(None), None, None)
+        sigma = np.logaddexp(0.0, rho.data) + sigma_min
+        z = (d - mu.data[per_head]) / sigma[per_head]
+        k = np.exp(-half * z * z)
+        axes = tuple(i for i in range(z.ndim) if i != z.ndim - 3)
 
-    report = verify_mu_gradient(samples=50, kernel_fn=wrong_kernel)
-    assert not report["passed"]
+        def backward(g):
+            gkz = g * k * z
+            mu._accum(scale.data * gkz.sum(axis=axes) / sigma**mu_grad_sigma_power)
+            rho._accum(scale.data * (gkz * z).sum(axis=axes) / sigma * expit(rho.data))
+            scale._accum((g * k).sum(axis=axes))
+            shift._accum(g.sum(axis=axes))
+
+        return Tensor._make(k * scale.data[per_head] + shift.data[per_head],
+                            (mu, rho, scale, shift), backward)
+
+    return op
+
+
+def verify_mu_gradient_exit_code(monkeypatch, capsys, op) -> int:
+    """``relgauss verify --only mu_gradient`` with ``op`` as nc.gaussian_bias."""
+    monkeypatch.setattr(nc, "gaussian_bias", op)
+    code = main(["verify", "--only", "mu_gradient"])
+    capsys.readouterr()
+    return code
+
+
+def test_verify_mu_gradient_passes_a_faithful_copy_of_the_op(monkeypatch, capsys):
+    # the control for the two mutation checks below
+    op = gaussian_bias_variant(0.5, 1)
+    assert verify_mu_gradient_exit_code(monkeypatch, capsys, op) == EXIT_OK
+
+
+def test_verify_mu_gradient_detects_wrong_kernel(monkeypatch, capsys):
+    """Mutation check: an op whose forward misses the 1/2 in the exponent
+    disagrees with the closed forms."""
+    op = gaussian_bias_variant(1.0, 1)
+    assert verify_mu_gradient_exit_code(monkeypatch, capsys, op) == EXIT_VERIFY_FAIL
+
+
+def test_verify_mu_gradient_detects_wrong_mu_gradient(monkeypatch, capsys):
+    """Mutation check: an op whose backward drops the 1/sigma from mu's
+    gradient disagrees with the closed form."""
+    op = gaussian_bias_variant(0.5, 0)
+    assert verify_mu_gradient_exit_code(monkeypatch, capsys, op) == EXIT_VERIFY_FAIL
 
 
 # -- Euler ratio ------------------------------------------------------------
 
 
 def test_euler_factor_canonical():
-    assert euler_ratio_factor(0.0, 1.0, 0.0) == pytest.approx(math.e, abs=1e-12)
+    odds, padded = euler_ratio_factor(0.0)
+    assert odds == pytest.approx(math.e, abs=1e-12)
+    assert padded == 0.0
 
 
 def test_euler_factor_content_shift_invariant():
-    a = euler_ratio_factor(0.0, 1.0, 0.0)
-    b = euler_ratio_factor(3.7, 1.0, 0.0)
+    a, _ = euler_ratio_factor(0.0)
+    b, _ = euler_ratio_factor(3.7)
     assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_euler_factor_zero_bias_is_one():
-    assert euler_ratio_factor(1.2, 0.0, 0.0) == 1.0
+    assert euler_ratio_factor(1.2, proj_scale=0.0)[0] == 1.0
 
 
 def test_verify_euler_ratio_passes():
     report = verify_euler_ratio()
     assert report["passed"]
     assert report["worst_margin"] <= 1e-6
+
+
+def test_verify_euler_ratio_reads_the_shipped_mask(monkeypatch, capsys):
+    # an unmasked padded key takes weight from the real ones
+    monkeypatch.setattr(attention, "MASK_NEG", 0.0)
+    assert main(["verify", "--only", "euler"]) == EXIT_VERIFY_FAIL
+    assert "euler_ratio" in capsys.readouterr().err
 
 
 # -- random-graph checks and the suite --------------------------------------

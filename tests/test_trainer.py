@@ -360,5 +360,6 @@ def test_write_metrics_jsonl(tmp_path):
     path = str(tmp_path / "metrics.jsonl")
     write_metrics_jsonl([{"epoch": 1, "val_metric": 0.5}], path)
     import json
-    lines = open(path).read().strip().split("\n")
+    with open(path) as fh:
+        lines = fh.read().strip().split("\n")
     assert json.loads(lines[0])["epoch"] == 1
