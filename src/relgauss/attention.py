@@ -31,9 +31,6 @@ INVALID_DELTA_DAYS = 1e12
 # additive pre-softmax score of a key that must get no attention
 MASK_NEG = -1e30
 
-# entry of a padded row index that stands for no row
-PAD = -1
-
 
 def inverse_softplus(y: float) -> float:
     """rho such that softplus(rho) = y (y > 0)."""
@@ -102,7 +99,7 @@ class AttentionLayer(Module):
         when ``rng`` is given.
         """
         n_rows = H.shape[0]
-        pad = batch.index == PAD
+        pad = batch.padded
 
         def heads(W: Parameter, axes: tuple[int, ...]) -> Tensor:
             X = nc.linear(H, W).reshape(n_rows, self.n_heads, self.head_dim)
@@ -114,8 +111,7 @@ class AttentionLayer(Module):
         scores = nc.bmm(Q, K_t) * (1.0 / math.sqrt(self.head_dim))
         if use_bias:
             # one |dt_i - dt_j| matrix per subgraph, shared by all heads
-            dt = batch.delta_t[np.where(pad, 0, batch.index)]
-            scores = scores + self.bias(pairwise_delta_days(dt))
+            scores = scores + self.bias(batch.delta_days)
         if pad.any():
             # padded keys get no weight, and padded query rows are dropped on
             # the way back, so padding passes no gradient to any parameter

@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import numcore as nc
 from .model import AblationFlags, GelModel, ModelConfig
 from .oracles import ALL_CHECKS, run_suite
@@ -307,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # non-finite values end in one NumericAbort line, not in numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (ConfigError, SchemaError, TableDataError, nc.CheckpointError,
             MetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,12 +24,15 @@ from functools import cached_property
 import numpy as np
 
 from . import numcore as nc
-from .attention import PAD, AttentionLayer
+from .attention import AttentionLayer, pairwise_delta_days
 from .encoders import Affine, EncoderSuite
 from .gnn import GnnBranch
 from .numcore import Module, Parameter, Tensor
 from .relstore import DatabaseSchema, RelGraph, TableData
 from .sampler import SampledSubgraph
+
+# entry of a padded row index that stands for no row
+PAD = -1
 
 
 @dataclass
@@ -153,13 +156,23 @@ class BatchedSubgraphs:
     seed_positions: np.ndarray  # row index of each subgraph's seed
 
     @cached_property
+    def padded(self) -> np.ndarray:
+        """(B, n_max) mask of the padded slots."""
+        return self.index == PAD
+
+    @cached_property
+    def delta_days(self) -> np.ndarray:
+        """(B, n_max, n_max) pairwise |dt_i - dt_j| in days within each subgraph."""
+        return pairwise_delta_days(self.delta_t[np.where(self.padded, 0, self.index)])
+
+    @cached_property
     def mean_adjacency(self) -> np.ndarray:
         """``adjacency`` with each row divided by its degree (isolated: 0)."""
         return self.adjacency / np.maximum(self.adjacency.sum(axis=-1, keepdims=True), 1.0)
 
     def pad(self, X: Tensor) -> Tensor:
         """(B, n_max, ...) stack of each subgraph's rows; padded slots hold row 0."""
-        return nc.rows(X, np.where(self.index == PAD, 0, self.index))
+        return nc.rows(X, np.where(self.padded, 0, self.index))
 
     def unpad(self, Y: Tensor) -> Tensor:
         """The rows of a (B, n_max, ...) stack back in row order."""
@@ -179,7 +192,7 @@ def batch_subgraphs(subs: list[SampledSubgraph]) -> BatchedSubgraphs:
     slot = np.flatnonzero(index != PAD)
     adjacency = np.zeros((len(subs), n_max, n_max))
     for b, s in enumerate(subs):
-        adjacency[(b, *s.local_adjacency.pairs())] = 1.0
+        adjacency[(b, *s.edges)] = 1.0
     return BatchedSubgraphs(
         nodes=np.concatenate([s.nodes for s in subs]),
         hop=np.concatenate([s.hop for s in subs]),

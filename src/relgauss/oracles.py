@@ -23,7 +23,6 @@ from .attention import SIGMA_MIN_DAYS, AttentionLayer, GaussianBiasParams
 from .encoders import SECONDS_PER_DAY
 from .model import batch_subgraphs
 from .numcore import Tensor
-from .relstore import CsrAdjacency
 from .sampler import SampledSubgraph
 from .trainer import AdamState, adam_step
 
@@ -74,12 +73,11 @@ def spectral_radius(adjacency: np.ndarray, iters: int = 200,
 
 
 def resolve_lambda(adjacency: np.ndarray, params: KatzParams) -> float:
+    rho = spectral_radius(adjacency)
     if params.lam is not None:
         lam = params.lam
     else:
-        rho = spectral_radius(adjacency)
         lam = params.c / rho if rho > 0 else params.c
-    rho = spectral_radius(adjacency)
     if lam * rho >= 1.0:
         raise ConvergenceError(f"lambda * rho(A) = {lam * rho:.6f} >= 1")
     return lam
@@ -293,7 +291,7 @@ def euler_ratio_factor(content_logit: float,
     layer.bias.proj_scale.data[:] = proj_scale
     subs = [SampledSubgraph(np.arange(n), np.zeros(n, dtype=np.int64),
                             np.arange(n) * SECONDS_PER_DAY,
-                            CsrAdjacency.from_pairs([], [], n), 0.0) for n in (2, 3)]
+                            np.zeros((2, 0), dtype=np.int64), 0.0) for n in (2, 3)]
     with nc.no_grad():
         _, (weights,) = layer.attend(Tensor(np.ones((5, 1))), batch_subgraphs(subs),
                                      return_weights=True)

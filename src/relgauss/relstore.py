@@ -334,10 +334,6 @@ class CsrAdjacency:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield self.indices[lo:hi]
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair ``(u, v)`` as two arrays, ordered by u then v."""
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices
-
     def gather(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The neighbours of ``nodes`` concatenated in order, and their counts."""
         starts, stops = self.indptr[nodes], self.indptr[1:][nodes]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relstore import CsrAdjacency, RelGraph, sorted_unique
+from .relstore import RelGraph, sorted_unique
 
 
 @dataclass
@@ -39,7 +39,7 @@ class SampledSubgraph:
     nodes: np.ndarray            # global node ids, seed first
     hop: np.ndarray              # hop distance per node
     delta_t: np.ndarray          # seed_time - tau, seconds (0 for the seed)
-    local_adjacency: CsrAdjacency  # over local indices 0..n-1
+    edges: np.ndarray            # (2, m) local (i, j) pairs, each edge both ways
     seed_time: float
 
     @property
@@ -49,60 +49,61 @@ class SampledSubgraph:
 
 def structural_sample(graph: RelGraph, seed: int, seed_time: float,
                       config: SamplingConfig, budget: int | None = ...,
-                      ) -> list[tuple[int, int]]:
-    """BFS candidates as (node, hop) pairs; seed counts against the budget.
+                      ) -> np.ndarray:
+    """BFS candidates as (k, 2) rows of (node, hop), in (hop, id) order.
 
-    Each level takes the not yet visited neighbours of the frontier that
-    strictly predate ``seed_time``, in ascending id order, until the budget.
+    The seed comes first and counts against the budget. Each level takes
+    the not yet visited neighbours of the frontier that strictly predate
+    ``seed_time``, in ascending id order, until the budget.
     """
     if budget is ...:
         budget = config.stage1_budget
+    elif budget is None:
+        budget = graph.n_nodes  # more than any level can add: no cut
     adj = graph.merged_adjacency
     visited = np.zeros(graph.n_nodes, dtype=bool)
     visited[seed] = True
-    out = [(seed, 0)]
+    levels = [np.array([seed], dtype=np.int64)]
+    taken = 1
     nbrs = adj[seed]  # a CSR row is already sorted and unique
     for hop in range(1, config.max_hop + 1):
-        if budget is not None and len(out) >= budget:
+        if taken >= budget:
             break
-        level = nbrs[(graph.node_time[nbrs] < seed_time) & ~visited[nbrs]]
-        if budget is not None:
-            level = level[:budget - len(out)]
+        level = nbrs[(graph.node_time[nbrs] < seed_time) & ~visited[nbrs]][:budget - taken]
         if not len(level):
             break
         visited[level] = True
-        out.extend((v, hop) for v in level.tolist())
+        levels.append(level)
+        taken += len(level)
         if hop < config.max_hop:
             nbrs = sorted_unique(adj.gather(level)[0])
-    return out
+    hops = np.repeat(np.arange(len(levels)), [len(level) for level in levels])
+    return np.stack([np.concatenate(levels), hops], axis=1)
 
 
-def semantic_refine(graph: RelGraph, seed: int, seed_time: float,
-                    candidates: list[tuple[int, int]], embeddings,
-                    config: SamplingConfig) -> SampledSubgraph:
+def semantic_refine(graph: RelGraph, seed_time: float, candidates: np.ndarray,
+                    embeddings, config: SamplingConfig) -> SampledSubgraph:
     """Top-k refinement of 2-hop (and deeper) candidates; 1-hop always kept.
 
+    ``candidates`` are ``structural_sample``'s rows, the seed first.
     ``embeddings`` maps an int array of nodes to their (k, d) embeddings;
     the seed and every deep candidate are embedded in one call.
     """
-    kept = [(n, h) for n, h in candidates if h <= 1]
-    deep = [(n, h) for n, h in candidates if h > 1]
-    room = config.stage2_keep - len(kept)
-    if deep and room > 0:
-        ids = np.array([n for n, _ in deep], dtype=np.int64)
-        E = embeddings(np.concatenate([[seed], ids]))
+    deep = candidates[:, 1] > 1
+    keep = ~deep
+    room = config.stage2_keep - np.count_nonzero(keep)
+    if deep.any() and room > 0:
+        ids = candidates[deep, 0]
+        E = embeddings(np.concatenate([candidates[:1, 0], ids]))
         sims = E[1:] @ E[0]
         order = np.lexsort((ids, -sims))  # similarity descending, then id
-        kept.extend(deep[i] for i in order[:room])
-    return _finalize(graph, seed, seed_time, kept)
+        keep[np.flatnonzero(deep)[order[:room]]] = True
+    return _finalize(graph, seed_time, candidates[keep])
 
 
-def _finalize(graph: RelGraph, seed: int, seed_time: float,
-              kept: list[tuple[int, int]]) -> SampledSubgraph:
-    ordered = [(seed, 0)] + sorted((nh for nh in kept if nh[0] != seed),
-                                   key=lambda nh: (nh[1], nh[0]))
-    nodes = np.array([n for n, _ in ordered], dtype=np.int64)
-    hops = np.array([h for _, h in ordered], dtype=np.int64)
+def _finalize(graph: RelGraph, seed_time: float,
+              rows: np.ndarray) -> SampledSubgraph:
+    nodes, hops = rows.T.copy()
     delta = seed_time - graph.node_time[nodes]
     delta[0] = 0.0
     # induced edges: each node's graph neighbours found in the sorted node set
@@ -112,10 +113,9 @@ def _finalize(graph: RelGraph, seed: int, seed_time: float,
     nbrs, counts = graph.merged_adjacency.gather(nodes)
     pos = np.minimum(ids.searchsorted(nbrs), k - 1)
     found = ids[pos] == nbrs
-    owner = np.repeat(np.arange(k), counts)[found]
-    adj = CsrAdjacency.from_pairs(owner, by_id[pos[found]], k)
+    edges = np.stack([np.repeat(np.arange(k), counts)[found], by_id[pos[found]]])
     return SampledSubgraph(nodes=nodes, hop=hops, delta_t=delta,
-                           local_adjacency=adj, seed_time=float(seed_time))
+                           edges=edges, seed_time=float(seed_time))
 
 
 def sample(graph: RelGraph, seed: int, seed_time: float, embeddings,
@@ -129,25 +129,23 @@ def sample(graph: RelGraph, seed: int, seed_time: float, embeddings,
     the full temporally-valid <=max_hop neighborhood (budget unchanged).
     """
     if random_stage1_rng is not None:
-        full = structural_sample(graph, seed, seed_time, config, budget=None)
-        others = full[1:]
+        candidates = structural_sample(graph, seed, seed_time, config, budget=None)
+        others = candidates[1:]
         take = min(config.stage1_budget - 1, len(others))
         if take < len(others):
             idx = random_stage1_rng.choice(len(others), size=take, replace=False)
-            others = [others[i] for i in sorted(idx)]
-        candidates = [full[0]] + others
+            candidates = np.concatenate([candidates[:1], others[np.sort(idx)]])
     else:
         candidates = structural_sample(graph, seed, seed_time, config)
     if skip_refinement:
-        return _finalize(graph, seed, seed_time, candidates)
-    return semantic_refine(graph, seed, seed_time, candidates, embeddings, config)
+        return _finalize(graph, seed_time, candidates)
+    return semantic_refine(graph, seed_time, candidates, embeddings, config)
 
 
 def subgraph_to_dict(sub: SampledSubgraph) -> dict:
     """JSON-friendly view used by the CLI inspection command."""
-    src, dst = sub.local_adjacency.pairs()
-    upper = src < dst
-    edges = np.stack([src[upper], dst[upper]], axis=1).tolist()
+    upper = sub.edges[:, sub.edges[0] < sub.edges[1]]
+    edges = upper[:, np.lexsort(upper[::-1])].T.tolist()  # by i, then j
     return {
         "nodes": [int(n) for n in sub.nodes],
         "hops": [int(h) for h in sub.hop],

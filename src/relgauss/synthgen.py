@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relstore import (DatabaseSchema, TableData, TableDataError, load_schema,
-                       load_tables)
+from .relstore import DatabaseSchema, TableData, TableDataError
 
 SIGNAL_THRESHOLD = 0.5
 
@@ -185,24 +184,6 @@ def write_db(config: SynthConfig, out_dir: str) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-
-
-def generate_db(config: SynthConfig, out_dir: str) -> tuple[DatabaseSchema, TableData]:
-    write_db(config, out_dir)
-    schema = load_schema(os.path.join(out_dir, "schema.json"))
-    tables = load_tables(schema, out_dir)
-    return schema, tables
-
-
-def recompute_labels(config: SynthConfig, schema: DatabaseSchema,
-                     tables: TableData) -> np.ndarray:
-    """Independent re-application of the planted rule to loaded tables."""
-    entities = tables.tables["entities"]
-    events = tables.tables["events"]
-    in_window = np.abs(events.timestamps["event_time"] - config.t_star) <= config.w
-    relevant = in_window & (events.numerical["intensity"] >= SIGNAL_THRESHOLD)
-    owners = events.fk_rows["entity_id"][relevant]
-    return (np.bincount(owners, minlength=entities.n_rows) >= config.k_min).astype(np.int64)
 
 
 def temporal_split(schema: DatabaseSchema, tables: TableData,

@@ -1,12 +1,21 @@
 import json
+import os
 from typing import Callable
 
 import numpy as np
 import pytest
 
 from relgauss.model import batch_subgraphs
-from relgauss.relstore import CsrAdjacency, build_graph, load_schema, load_tables
+from relgauss.relstore import build_graph, load_schema, load_tables
 from relgauss.sampler import SampledSubgraph
+from relgauss.synthgen import write_db
+
+
+def generate_db(config, out_dir: str):
+    """Write a synthetic database to ``out_dir`` and load its schema and tables."""
+    write_db(config, out_dir)
+    schema = load_schema(os.path.join(out_dir, "schema.json"))
+    return schema, load_tables(schema, out_dir)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray,
@@ -38,12 +47,12 @@ def _make_batch(adjacencies=None, delta_ts=None):
     subs = []
     for b, adj in enumerate(adjacencies):
         n = len(adj)
-        src = np.repeat(np.arange(n), [len(nbrs) for nbrs in adj])
-        dst = np.array([j for nbrs in adj for j in nbrs], dtype=np.int64)
+        edges = np.array([(i, j) for i, nbrs in enumerate(adj) for j in nbrs],
+                         dtype=np.int64).reshape(-1, 2).T
         subs.append(SampledSubgraph(
             nodes=np.arange(n), hop=np.zeros(n, dtype=np.int64),
             delta_t=np.zeros(n) if delta_ts is None else np.asarray(delta_ts[b], dtype=float),
-            local_adjacency=CsrAdjacency.from_pairs(src, dst, n), seed_time=0.0))
+            edges=edges, seed_time=0.0))
     return batch_subgraphs(subs)
 
 

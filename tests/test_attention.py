@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgauss import numcore as nc
-from relgauss.attention import (INVALID_DELTA_DAYS, PAD, AttentionLayer,
+from relgauss.attention import (INVALID_DELTA_DAYS, AttentionLayer,
                                 GaussianBiasParams, inverse_softplus,
                                 pairwise_delta_days)
 from relgauss.encoders import SECONDS_PER_DAY
+from relgauss.model import PAD
 from relgauss.numcore import Tensor
 from relgauss.oracles import gaussian_kernel, grad_mu_closed_form
 

@@ -148,6 +148,9 @@ def test_sample_outputs_subgraph_json(gen_dir, capsys):
     assert sub["edges"]
     for i, j in sub["edges"]:
         assert 0 <= i < j < n
+    # each edge once, ordered by i then j
+    pairs = [tuple(e) for e in sub["edges"]]
+    assert pairs == sorted(set(pairs))
     assert json.loads(json.dumps(sub)) == sub
 
 
@@ -322,8 +325,6 @@ def test_train_huge_lr_exits_3_naming_the_parameter(gen_dir, tmp_path, capsys):
     assert ".bias." in lines[0]
 
 
-# the overflow that makes the scores NaN warns on its way
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_non_finite_validation_metric_exits_3(gen_dir, tmp_path, capsys):
     # one update leaves every parameter finite, but so large that the eval
     # forward gives NaN scores
@@ -335,6 +336,22 @@ def test_train_non_finite_validation_metric_exits_3(gen_dir, tmp_path, capsys):
                        "--out", str(tmp_path / "r"), "--quiet")
     assert code == EXIT_NUMERIC
     assert err.strip().splitlines() == [
+        "numeric abort: non-finite validation metric at epoch 1"]
+
+
+def test_numeric_abort_prints_one_line(gen_dir, tmp_path):
+    # in a child process, where numpy's overflow warnings would reach stderr
+    # as they do in a shell; pytest captures them in its own process
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": TRAIN_CONFIG["model"], "train": {
+        "lr": 1e200, "bias_lr_multiplier": 1.0, "epochs": 1, "max_steps_per_epoch": 1,
+        "batch_size": 8}}))
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"), PYTHONWARNINGS="default")
+    proc = subprocess.run([sys.executable, "-m", "relgauss.cli", "train", "--data",
+                           str(gen_dir), "--config", str(cfg), "--out", str(tmp_path / "r"),
+                           "--quiet"], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stderr.splitlines() == [
         "numeric abort: non-finite validation metric at epoch 1"]
 
 

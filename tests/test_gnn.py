@@ -3,9 +3,9 @@ import pytest
 
 from conftest import finite_diff_grad
 from relgauss import numcore as nc
-from relgauss.attention import PAD
 from relgauss.encoders import PositionalEncoder
 from relgauss.gnn import GnnBranch, SageLayer
+from relgauss.model import PAD
 from relgauss.numcore import Tensor
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from relgauss import numcore as nc
-from relgauss.attention import PAD
-from relgauss.model import (AblationFlags, GelModel, ModelConfig,
+from relgauss.attention import pairwise_delta_days
+from relgauss.model import (PAD, AblationFlags, GelModel, ModelConfig,
                             batch_subgraphs, fuse, loss)
 from relgauss.numcore import Tensor
 from relgauss.sampler import SamplingConfig, sample
@@ -129,11 +129,17 @@ def test_batch_subgraphs_layout(tiny_db):
     assert batch.adjacency.shape == (len(sizes), max(sizes), max(sizes))
     for A, sub in zip(batch.adjacency, subs):
         dense = np.zeros_like(A)
-        dense[sub.local_adjacency.pairs()] = 1.0
+        dense[tuple(sub.edges)] = 1.0
         np.testing.assert_array_equal(A, dense)
     # mean aggregation rows sum to 1 (or 0 if isolated or padded)
     rowsum = batch.mean_adjacency.sum(axis=-1)
     assert np.all((np.abs(rowsum - 1.0) < 1e-12) | (rowsum == 0.0))
+    # the padded-slot mask, and each subgraph's pairwise deltas in the
+    # top-left of its slice of the Δt stack
+    np.testing.assert_array_equal(batch.padded, batch.index == PAD)
+    for D, sub in zip(batch.delta_days, subs):
+        n = sub.n_nodes
+        np.testing.assert_array_equal(D[:n, :n], pairwise_delta_days(sub.delta_t))
 
 
 def test_forward_batch_matches_per_example(tiny_db):

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import generate_db
 from relgauss import relstore
-from relgauss.synthgen import SynthConfig, generate_db
+from relgauss.synthgen import SynthConfig
 from relgauss.relstore import (DANGLING_FK, NO_TIMESTAMP, NULL_FK, SchemaError,
                                TableDataError, build_graph, load_schema, load_tables,
                                reverse_edge_type)

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import generate_db
 from relgauss.model import batch_subgraphs
 from relgauss.relstore import CsrAdjacency, RelGraph, build_graph
 from relgauss.sampler import (SamplingConfig, sample, semantic_refine,
                               structural_sample, subgraph_to_dict)
-from relgauss.synthgen import SynthConfig, generate_db
+from relgauss.synthgen import SynthConfig
 
 
 def make_graph(n, edges, times):
@@ -24,6 +25,12 @@ def make_graph(n, edges, times):
 ZERO_EMB = np.zeros((9, 1)).__getitem__
 
 
+def neighbour_lists(sub):
+    """Each local node's local neighbours, ascending, from the edge pairs."""
+    i, j = sub.edges
+    return [sorted(j[i == k].tolist()) for k in range(sub.n_nodes)]
+
+
 @pytest.fixture
 def star_graph():
     # 0 is the seed; 1-4 are 1-hop; 5-8 hang off 1 and 2 at 2 hops
@@ -35,30 +42,30 @@ def star_graph():
 
 def test_structural_sample_respects_temporal_causality(star_graph):
     out = structural_sample(star_graph, 0, 100.0, SamplingConfig())
-    nodes = [n for n, _ in out]
+    nodes = out[:, 0]
     assert 4 not in nodes  # timestamp 200 >= seed time
     assert nodes[0] == 0
-    for n, h in out[1:]:
-        assert star_graph.node_time[n] < 100.0
+    assert np.all(star_graph.node_time[nodes[1:]] < 100.0)
 
 
 def test_structural_sample_hops_and_order(star_graph):
     out = structural_sample(star_graph, 0, 100.0, SamplingConfig())
-    assert out == [(0, 0), (1, 1), (2, 1), (3, 1),
-                   (5, 2), (6, 2), (7, 2), (8, 2)]
+    assert out.dtype == np.int64
+    assert out.tolist() == [[0, 0], [1, 1], [2, 1], [3, 1],
+                            [5, 2], [6, 2], [7, 2], [8, 2]]
 
 
 def test_structural_sample_budget_truncates_in_ascending_id_order(star_graph):
     out = structural_sample(star_graph, 0, 100.0,
                             SamplingConfig(stage1_budget=3, stage2_keep=2))
-    assert out == [(0, 0), (1, 1), (2, 1)]  # seed counts against the budget
+    assert out.tolist() == [[0, 0], [1, 1], [2, 1]]  # seed counts against the budget
 
 
 def test_structural_sample_stops_expanding_at_budget(star_graph):
     # budget consumed by hop-1 nodes: no hop-2 expansion happens
     out = structural_sample(star_graph, 0, 100.0,
                             SamplingConfig(stage1_budget=4, stage2_keep=4))
-    assert all(h <= 1 for _, h in out)
+    assert np.all(out[:, 1] <= 1)
 
 
 def test_structural_sample_unlimited_budget(star_graph):
@@ -70,21 +77,21 @@ def test_max_hop_limits_depth():
     # path 0-1-2-3
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)], [100, 1, 2, 3])
     out = structural_sample(g, 0, 100.0, SamplingConfig(max_hop=2))
-    assert [n for n, _ in out] == [0, 1, 2]
+    assert out[:, 0].tolist() == [0, 1, 2]
 
 
 def test_seed_with_invalid_neighbor_times():
     g = make_graph(3, [(0, 1), (0, 2)], [100, -np.inf, 150])
     out = structural_sample(g, 0, 100.0, SamplingConfig())
     # -inf counts as "in the past", 150 is future
-    assert [n for n, _ in out] == [0, 1]
+    assert out[:, 0].tolist() == [0, 1]
 
 
 def test_semantic_refine_keeps_seed_and_all_one_hop(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
     emb = np.arange(9.0)[:, None]
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=5)
-    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb.__getitem__, cfg)
+    sub = semantic_refine(star_graph, 100.0, candidates, emb.__getitem__, cfg)
     kept = set(sub.nodes.tolist())
     assert {0, 1, 2, 3} <= kept
     assert sub.n_nodes == 5
@@ -95,7 +102,7 @@ def test_semantic_refine_ranks_two_hop_by_similarity_desc(star_graph):
     # seed embedding [1]; similarity of node n is 1+n, so 8 then 7 win
     emb = 1.0 + np.arange(9.0)[:, None]
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=6)
-    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb.__getitem__, cfg)
+    sub = semantic_refine(star_graph, 100.0, candidates, emb.__getitem__, cfg)
     two_hop = sorted(sub.nodes[sub.hop == 2].tolist())
     assert two_hop == [7, 8]
 
@@ -104,14 +111,14 @@ def test_semantic_refine_tie_breaks_by_ascending_id(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
     emb = np.ones((9, 1))  # all equally similar
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=6)
-    sub = semantic_refine(star_graph, 0, 100.0, candidates, emb.__getitem__, cfg)
+    sub = semantic_refine(star_graph, 100.0, candidates, emb.__getitem__, cfg)
     assert sorted(sub.nodes[sub.hop == 2].tolist()) == [5, 6]
 
 
 def test_refine_accepts_callable_embeddings(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
     cfg = SamplingConfig(stage2_keep=6)
-    sub = semantic_refine(star_graph, 0, 100.0, candidates,
+    sub = semantic_refine(star_graph, 100.0, candidates,
                           lambda nodes: 1.0 + nodes[:, None], cfg)
     assert sorted(sub.nodes[sub.hop == 2].tolist()) == [7, 8]
 
@@ -129,11 +136,12 @@ def test_subgraph_layout_and_delta_t(star_graph):
 
 def test_local_adjacency_is_induced_subgraph(star_graph):
     sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
+    assert sub.edges.shape == (2, 14)  # the 7 edges among the 8 nodes, both ways
     index = {n: i for i, n in enumerate(sub.nodes.tolist())}
-    for n, local in zip(sub.nodes.tolist(), sub.local_adjacency):
+    for n, local in zip(sub.nodes.tolist(), neighbour_lists(sub)):
         expect = sorted(index[v] for v in star_graph.merged_adjacency[n].tolist()
                         if v in index)
-        assert local.tolist() == expect
+        assert local == expect
 
 
 def test_agg_matrices(star_graph):
@@ -142,8 +150,8 @@ def test_agg_matrices(star_graph):
     A = batch.adjacency[0]
     assert np.array_equal(A, A.T)
     rowsum = batch.mean_adjacency[0].sum(axis=1)
-    for i, nbrs in enumerate(sub.local_adjacency):
-        assert rowsum[i] == pytest.approx(1.0 if len(nbrs) else 0.0)
+    for i, nbrs in enumerate(neighbour_lists(sub)):
+        assert rowsum[i] == pytest.approx(1.0 if nbrs else 0.0)
 
 
 def test_skip_refinement_keeps_all_candidates(star_graph):
@@ -174,8 +182,7 @@ def test_deterministic_given_same_inputs(star_graph):
     b = sample(star_graph, 0, 100.0, emb, SamplingConfig(stage2_keep=6))
     np.testing.assert_array_equal(a.nodes, b.nodes)
     np.testing.assert_array_equal(a.delta_t, b.delta_t)
-    np.testing.assert_array_equal(a.local_adjacency.indptr, b.local_adjacency.indptr)
-    np.testing.assert_array_equal(a.local_adjacency.indices, b.local_adjacency.indices)
+    np.testing.assert_array_equal(a.edges, b.edges)
 
 
 def test_subgraph_to_dict_roundtrip(star_graph):
@@ -186,7 +193,7 @@ def test_subgraph_to_dict_roundtrip(star_graph):
     for i, j in d["edges"]:
         assert type(i) is int and type(j) is int
         assert i < j
-        assert j in sub.local_adjacency[i]
+        assert j in neighbour_lists(sub)[i]
     assert json.loads(json.dumps(d)) == d
 
 
@@ -272,7 +279,8 @@ def test_sampling_matches_set_based_reference(synth_graph, max_hop, budget):
     for seed, t in seeds:
         full = reference_bfs(lists, graph.node_time, seed, t, max_hop, None)
         cands = reference_bfs(lists, graph.node_time, seed, t, max_hop, budget)
-        assert structural_sample(graph, seed, t, cfg, budget=budget) == cands
+        assert structural_sample(graph, seed, t, cfg, budget=budget).tolist() == \
+            [list(c) for c in cands]
         truncated += len(cands) < len(full)
 
         others = full[1:]
@@ -294,6 +302,7 @@ def test_sampling_matches_set_based_reference(synth_graph, max_hop, budget):
             assert sub.nodes.tolist() == nodes
             assert sub.hop.tolist() == hops
             np.testing.assert_array_equal(sub.delta_t, delta)
-            assert [nbrs.tolist() for nbrs in sub.local_adjacency] == adj
+            assert neighbour_lists(sub) == adj
+            assert sub.edges.shape[1] == sum(map(len, adj))  # no repeated pair
     if budget == 32:
         assert truncated > 0  # the budget cut itself is compared

@@ -330,8 +330,8 @@ def test_batched_refinement_matches_scalar_definition(small_setup):
         node = graph.node_id(schema.task.target_table, row)
         seed_time = float(target.timestamps[schema.task.seed_time_column][row])
         candidates = structural_sample(graph, node, seed_time, cfg)
-        near = {n for n, h in candidates if h <= 1}
-        deep = [n for n, h in candidates if h > 1]
+        near = set(candidates[candidates[:, 1] <= 1, 0].tolist())
+        deep = candidates[candidates[:, 1] > 1, 0].tolist()
         h_seed = scalar_embedding(node)
         ranked = sorted(deep, key=lambda u: (-float(h_seed @ scalar_embedding(u)), u))
         room = max(cfg.stage2_keep - len(near), 0)
