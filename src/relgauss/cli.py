@@ -7,13 +7,16 @@ data and the checkpoint, rebuilds that run from it and scores the test
 split as ``train`` did, so it prints the test metric ``train`` printed.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(also a bad schema, table or checkpoint, or scored rows that cannot give
-the task's metric), 3 numeric abort during training.
+(also a bad schema, table, target value or checkpoint, an ``--out`` that
+cannot be written, or scored rows that cannot give the task's metric),
+3 numeric abort during training, 141 stdout closed by its reader before
+the output was all written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -37,6 +40,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a process SIGPIPE ends
 
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
@@ -91,6 +95,18 @@ def _build_dataclass(cls, raw, overrides: dict | None = None):
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(out: str):
+    """Report a failure to write under ``--out`` as a configuration error
+    naming the path. Only file writes go inside: a closed stdout must stay
+    a BrokenPipeError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def _load_dataset(data_dir: str):
     schema = load_schema(os.path.join(data_dir, "schema.json"))
     tables = load_tables(schema, data_dir)
@@ -138,7 +154,8 @@ def _record_run(result, ablation: AblationFlags, path: str) -> dict:
 def cmd_gen(args) -> int:
     raw = _load_json(args.config)
     cfg = _build_dataclass(SynthConfig, raw, {"rng_seed": args.seed})
-    write_db(cfg, args.out)
+    with _writing(args.out):
+        write_db(cfg, args.out)
     print(json.dumps({"out": args.out, "n_entities": cfg.n_entities,
                       "rng_seed": cfg.rng_seed}))
     return EXIT_OK
@@ -169,7 +186,7 @@ def cmd_sample(args) -> int:
                      AblationFlags(no_semantic_refinement=args.no_semantic_refinement))
     payload = json.dumps(subgraph_to_dict(sub))
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)
@@ -183,12 +200,14 @@ def cmd_train(args) -> int:
                                 for f in dataclasses.fields(AblationFlags)})
     model = GelModel(model_cfg, schema, tables)
     splits = temporal_split(schema, tables, SPLIT_FRACTIONS)
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     result = train(model, graph, schema, tables, splits, train_cfg, samp_cfg,
                    ablation, progress=not args.quiet)
-    summary = _record_run(result, ablation, os.path.join(args.out, "metrics.jsonl"))
-    nc.save_checkpoint(model.parameters(), os.path.join(args.out, "checkpoint"),
-                       _run_fields(model_cfg, train_cfg, samp_cfg, ablation))
+    with _writing(args.out):
+        summary = _record_run(result, ablation, os.path.join(args.out, "metrics.jsonl"))
+        nc.save_checkpoint(model.parameters(), os.path.join(args.out, "checkpoint"),
+                           _run_fields(model_cfg, train_cfg, samp_cfg, ablation))
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -219,7 +238,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(str(exc)) from exc
     payload = json.dumps(reports, indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(payload + "\n")
     print(payload)
     failing = [r["check"] for r in reports if not r["passed"]]
@@ -233,18 +252,20 @@ def cmd_ablate(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
     model_cfg, train_cfg, samp_cfg = _configs(_load_json(args.config), args.seed)
     splits = temporal_split(schema, tables, SPLIT_FRACTIONS)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     # the full model, then each switch on its own
     variants = [AblationFlags()] + [AblationFlags(**{f.name: True})
                                     for f in dataclasses.fields(AblationFlags)]
     runs = run_ablation_sweep(graph, schema, tables, splits, model_cfg, train_cfg,
                               samp_cfg, variants, [train_cfg.rng_seed])
-    os.makedirs(args.out, exist_ok=True)
-    summary = [_record_run(runs[train_cfg.rng_seed][v.name], v,
-                           os.path.join(args.out, f"metrics_{v.name}.jsonl"))
-               for v in variants]
-    payload = json.dumps(summary, indent=1)
-    with open(os.path.join(args.out, "ablation_summary.json"), "w") as fh:
-        fh.write(payload + "\n")
+    with _writing(args.out):
+        summary = [_record_run(runs[train_cfg.rng_seed][v.name], v,
+                               os.path.join(args.out, f"metrics_{v.name}.jsonl"))
+                   for v in variants]
+        payload = json.dumps(summary, indent=1)
+        with open(os.path.join(args.out, "ablation_summary.json"), "w") as fh:
+            fh.write(payload + "\n")
     print(payload)
     return EXIT_OK
 
@@ -306,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # non-finite values end in one NumericAbort line, not in numpy warnings
@@ -319,6 +340,22 @@ def main(argv: list[str] | None = None) -> int:
     except NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        # a reader that closed stdout early fails this flush, which is caught
+        # below, instead of the one at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout leads nowhere now, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError):
+            print("error: stdout closed before the output was all written",
+                  file=sys.stderr)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

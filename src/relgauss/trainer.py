@@ -8,13 +8,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import numcore as nc
 from .model import AblationFlags, GelModel, ModelConfig, batch_subgraphs
 from .model import loss as loss_fn
 from .numcore import Parameter
-from .relstore import DatabaseSchema, RelGraph, TableData
+from .relstore import DatabaseSchema, RelGraph, TableData, TableDataError
 from .sampler import SampledSubgraph, SamplingConfig, sample
 
 
@@ -98,8 +97,24 @@ class MetricError(ValueError):
     """Raised when the scored rows cannot give the task's metric."""
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d float array; each run of equal values gets the
+    mean of the ranks it spans. For an array without NaN this is
+    ``scipy.stats.rankdata(values)`` bit for bit: every rank is a whole or
+    half number, exact in float64."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # the tie groups are [start, end) runs of the sorted values
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    end = np.r_[start[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (start + end + 1), end - start)
+    return ranks
+
+
 def auc(scores, labels) -> float:
-    """Mann-Whitney AUC: correctly ranked (pos, neg) pairs, ties half."""
+    """Mann-Whitney AUC: correctly ranked (pos, neg) pairs, ties half.
+    A NaN score gives NaN; ±inf ranks as any other value."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = labels == 1
@@ -107,8 +122,9 @@ def auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError(f"auc needs both classes among the {len(labels)} scored rows")
-    ranks = rankdata(scores)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    if np.isnan(scores).any():
+        return float("nan")
+    u = _average_ranks(scores)[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
@@ -171,8 +187,20 @@ class TrainResult:
 
 
 def _target_values(schema: DatabaseSchema, tables: TableData) -> np.ndarray:
+    """The task's target column, one value per target-table row. A binary
+    target must be 0 or 1 and a regression target finite; a blank cell
+    reads as NaN and fails both."""
     task = schema.task
-    return tables.tables[task.target_table].numerical[task.target_column]
+    values = tables.tables[task.target_table].numerical[task.target_column]
+    if task.kind == "binary_classification":
+        bad, rule = (values != 0) & (values != 1), "is not 0 or 1"
+    else:
+        bad, rule = ~np.isfinite(values), "is not finite"
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise TableDataError(f"table {task.target_table!r} column {task.target_column!r} "
+                             f"row {row}: {task.kind} target {float(values[row])!r} {rule}")
+    return values
 
 
 def sample_row(graph: RelGraph, schema: DatabaseSchema, tables: TableData,

@@ -695,6 +695,96 @@ def test_train_on_a_bad_csv_row_exits_2(gen_dir, tmp_path, capsys, row, column):
     assert "events.csv" in err and f"line {last_line}" in err and repr(column) in err
 
 
+def db_with_label(gen_dir, tmp_path, row, label, kind):
+    """A copy of the database with one target cell replaced and the task's kind set."""
+    db = tmp_path / "db"
+    shutil.copytree(gen_dir, db)
+    with open(db / "entities.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "label"
+    rows[row + 1][-1] = label
+    with open(db / "entities.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    schema = json.loads((db / "schema.json").read_text())
+    schema["task"]["kind"] = kind
+    (db / "schema.json").write_text(json.dumps(schema))
+    return db
+
+
+@pytest.mark.parametrize("kind, label, shown", [
+    ("binary_classification", "2", "2.0"),
+    ("binary_classification", "0.5", "0.5"),
+    ("binary_classification", "", "nan"),    # a blank cell
+    ("regression", "inf", "inf"),
+    ("regression", "", "nan"),
+    ("regression", "2.5", None),             # any finite value is a regression target
+])
+def test_train_on_a_bad_target_exits_2(gen_dir, tmp_path, capsys, kind, label, shown):
+    db = db_with_label(gen_dir, tmp_path, 3, label, kind)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    code, _, err = run(capsys, "train", "--data", str(db), "--config", str(cfg),
+                       "--out", str(tmp_path / "r"), "--quiet")
+    if shown is None:
+        assert code == EXIT_OK, err
+        return
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert ("'entities'" in err and "'label'" in err and "row 3:" in err
+            and f"target {shown} " in err), err
+
+
+@pytest.mark.parametrize("command, out", [
+    ("gen", "file"),
+    ("sample", "missing/sub.json"),
+    ("sample", "file/sub.json"),
+    ("train", "file"),
+    ("verify", "missing/verify.json"),
+    ("ablate", "file"),
+])
+def test_unwritable_out_exits_2_naming_the_path(gen_dir, tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    data = ["--data", str(gen_dir)]
+    argv = {"gen": [],
+            "sample": [*data, "--row", "0"],
+            "train": [*data, "--config", str(cfg), "--quiet"],
+            "verify": ["--only", "katz"],
+            "ablate": [*data, "--config", str(cfg)]}[command]
+    code, _, err = run(capsys, command, *argv, "--out", str(tmp_path / out))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert str(tmp_path / out) in err
+
+
+@pytest.mark.parametrize("command", ["sample", "train"])
+def test_a_closed_stdout_exits_nonzero_with_at_most_one_line(gen_dir, tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    argv = {"sample": ["--row", "0"],
+            # not --quiet: the per-epoch records go to stdout
+            "train": ["--config", str(cfg), "--out", str(tmp_path / "r")]}[command]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "relgauss.cli", command, "--data",
+                             str(gen_dir), *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the reader leaves before the command writes a byte
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == cli.EXIT_PIPE, err
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, err
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # scipy.stats alone costs every relgauss process about 46 MB resident
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", "import sys, relgauss.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_demo_pipeline_commands_parse():
     with open(os.path.join(REPO, "scripts", "demo_pipeline.sh")) as fh:
         lines = fh.read().replace("\\\n", " ").splitlines()

@@ -39,6 +39,37 @@ def test_auc_invariant_to_monotone_transform():
     assert auc(scores, labels) == pytest.approx(auc(np.exp(scores), labels))
 
 
+def rankdata_auc(scores, labels):
+    """The Mann-Whitney AUC through scipy's average ranks, the reference."""
+    from scipy.stats import rankdata
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = len(pos) - n_pos
+    return float((rankdata(scores)[pos].sum() - n_pos * (n_pos + 1) / 2.0)
+                 / (n_pos * n_neg))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, n: rng.normal(size=n),                              # untied
+    lambda rng, n: rng.integers(0, 4, size=n).astype(float),        # many ties
+    lambda rng, n: np.round(rng.normal(size=n), 1),                 # some ties
+    lambda rng, n: rng.choice([-np.inf, -1.0, -0.0, 0.0, 2.5, np.inf], size=n),
+], ids=["untied", "many-ties", "some-ties", "inf"])
+def test_auc_is_bitwise_the_rankdata_formula(draw):
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(2, 120))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = 0, 1
+        scores = draw(rng, n)
+        assert auc(scores, labels).hex() == rankdata_auc(scores, labels).hex()
+
+
+def test_auc_of_a_nan_score_is_nan():
+    assert np.isnan(auc([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0]))
+    assert np.isnan(auc([np.nan, np.nan], [0, 1]))
+
+
 def test_mae():
     assert mae([1.0, 2.0], [0.0, 4.0]) == pytest.approx(1.5)
     with pytest.raises(ValueError):
