@@ -86,8 +86,7 @@ class AttentionLayer(Module):
         self.bias = GaussianBiasParams(f"{name}.bias", n_heads)
 
     def attend(self, H: Tensor, batch: BatchedSubgraphs, *,
-               use_bias: bool = True, rng: np.random.Generator | None = None,
-               return_weights: bool = False):
+               use_bias: bool = True, return_weights: bool = False):
         """Biased multi-head attention over each subgraph's complete graph.
 
         ``H`` holds the node rows of the subgraphs of ``batch``. They are
@@ -96,7 +95,7 @@ class AttentionLayer(Module):
         ``H``, so no row attends outside its own subgraph. With
         ``return_weights`` the softmax weights come back too, one
         (B, n_max, n_max) array per head. Dropout on the weights runs only
-        when ``rng`` is given.
+        when the batch carries generators.
         """
         n_rows = H.shape[0]
         pad = batch.padded
@@ -119,7 +118,7 @@ class AttentionLayer(Module):
         alpha = nc.softmax_rows(scores)
         if return_weights:
             weights = [alpha.data[:, h].copy() for h in range(self.n_heads)]
-        alpha = nc.dropout(alpha, self.dropout_rate, rng)
+        alpha = batch.dropout(alpha, self.dropout_rate)
         Y = nc.bmm(alpha, V).transpose(0, 2, 1, 3)  # (B, n_max, heads, head_dim)
         out = self.out(batch.unpad(Y).reshape(n_rows, self.d))
         if return_weights:

@@ -1,10 +1,9 @@
 """Local message-passing branch over the true relational edges.
 
 Three mean-aggregation layers; each applies self + neighbor-mean linear
-maps, LayerNorm, GELU and dropout, with a residual skip from the layer
-input; dropout runs only when a generator is passed. Messages only flow
-along each sampled subgraph's induced adjacency, never the complete
-attention graph.
+maps, LayerNorm, GELU and the batch's dropout, with a residual skip from
+the layer input. Messages only flow along each sampled subgraph's induced
+adjacency, never the complete attention graph.
 """
 
 from __future__ import annotations
@@ -33,20 +32,18 @@ class SageLayer(Module):
         self.norm = Norm(f"{name}.norm", d)
         self.dropout_rate = dropout_rate
 
-    def __call__(self, H: Tensor, batch: BatchedSubgraphs, *,
-                 rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, H: Tensor, batch: BatchedSubgraphs) -> Tensor:
         neigh_mean = batch.propagate(batch.mean_adjacency, H)
         z = nc.linear(H, self.W_self) + nc.linear(neigh_mean, self.W_neigh)
         z = nc.gelu(self.norm(z))
-        return H + nc.dropout(z, self.dropout_rate, rng)
+        return H + batch.dropout(z, self.dropout_rate)
 
 
 class GnnBranch(Module):
     def __init__(self, name: str, d: int, rng: np.random.Generator, n_layers: int = 3):
         self.layers = [SageLayer(f"{name}.sage{k}", d, rng) for k in range(n_layers)]
 
-    def __call__(self, H: Tensor, batch: BatchedSubgraphs, *,
-                 rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, H: Tensor, batch: BatchedSubgraphs) -> Tensor:
         for layer in self.layers:
-            H = layer(H, batch, rng=rng)
+            H = layer(H, batch)
         return H

@@ -121,19 +121,17 @@ class GelModel(Module):
 
     def forward_batch(self, batch: "BatchedSubgraphs", tables: TableData,
                       graph: RelGraph, *, run_seed: int = 0,
-                      rng: np.random.Generator | None = None,
                       ablation: AblationFlags = AblationFlags()) -> Tensor:
         """One score per subgraph of the batch, in batch order; dropout runs
-        only when ``rng`` is given."""
+        only when the batch carries generators."""
         H = self.encoders.encode_subgraph(batch, graph, tables, run_seed)
         eta = self.eta()
         for attn, gnn in zip(self.attn_layers, self.gnn_layers):
-            H_attn = attn.attend(H, batch, rng=rng,
-                                 use_bias=not ablation.no_gaussian_bias)
+            H_attn = attn.attend(H, batch, use_bias=not ablation.no_gaussian_bias)
             if ablation.no_gnn_branch:
                 H = H_attn
             else:
-                H_gnn = gnn(H, batch, rng=rng)
+                H_gnn = gnn(H, batch)
                 H = fuse(H_attn, H_gnn, eta)
         seed_rows = nc.rows(H, batch.seed_positions)
         return self.head_a2(nc.gelu(self.head_a1(seed_rows))).reshape(-1)
@@ -145,7 +143,9 @@ class BatchedSubgraphs:
 
     Anything that mixes rows does so per subgraph on a padded stack:
     ``pad`` gathers the rows into (B, n_max, ...) and ``unpad`` takes them
-    back, dropping the padded slots.
+    back, dropping the padded slots. In training ``rngs`` holds one generator
+    per subgraph, which draws that subgraph's dropout masks over its own
+    cells only, so they do not depend on the rest of the batch or on n_max.
     """
     nodes: np.ndarray
     hop: np.ndarray
@@ -154,6 +154,8 @@ class BatchedSubgraphs:
     slot: np.ndarray            # padded slot of each row, in row order
     adjacency: np.ndarray       # (B, n_max, n_max) 0/1 local adjacency
     seed_positions: np.ndarray  # row index of each subgraph's seed
+    sizes: np.ndarray           # node count of each subgraph
+    rngs: list[np.random.Generator] | None = None  # None in eval
 
     @cached_property
     def padded(self) -> np.ndarray:
@@ -182,8 +184,23 @@ class BatchedSubgraphs:
         """Row i of subgraph b gets sum_j A[b, i, j] X_j over its own rows."""
         return self.unpad(nc.bmm(Tensor(A), self.pad(X)))
 
+    def dropout(self, X: Tensor, rate: float) -> Tensor:
+        """Inverted-scaling dropout, the identity in eval or at rate 0. Each
+        subgraph draws its own cells' mask from its own generator: an (n_b, d)
+        block of stacked rows (rows, d), or a (heads, n_b, n_b) block of padded
+        pairs (B, heads, n_max, n_max), whose padding is zeroed."""
+        if self.rngs is None or rate <= 0.0:
+            return X
+        keep = np.zeros(X.shape, dtype=bool)
+        for b, (rng, n) in enumerate(zip(self.rngs, self.sizes, strict=True)):
+            cells = keep[self.seed_positions[b]:][:n] if keep.ndim == 2 else keep[b, :, :n, :n]
+            cells[...] = rng.random(cells.shape) >= rate
+        return X * Tensor(keep / (1.0 - rate))
 
-def batch_subgraphs(subs: list[SampledSubgraph]) -> BatchedSubgraphs:
+
+def batch_subgraphs(subs: list[SampledSubgraph],
+                    rngs: list[np.random.Generator] | None = None) -> BatchedSubgraphs:
+    """The subgraphs as one batch; ``rngs``, one per subgraph, turn dropout on."""
     sizes = np.array([s.n_nodes for s in subs])
     seeds = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
     n_max = int(sizes.max())
@@ -197,7 +214,8 @@ def batch_subgraphs(subs: list[SampledSubgraph]) -> BatchedSubgraphs:
         nodes=np.concatenate([s.nodes for s in subs]),
         hop=np.concatenate([s.hop for s in subs]),
         delta_t=np.concatenate([s.delta_t for s in subs]),
-        index=index, slot=slot, adjacency=adjacency, seed_positions=seeds)
+        index=index, slot=slot, adjacency=adjacency, seed_positions=seeds,
+        sizes=sizes, rngs=rngs)
 
 
 def fuse(H_attn: Tensor, H_gnn: Tensor, eta: Tensor) -> Tensor:

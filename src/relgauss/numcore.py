@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 _GRAD_ENABLED = True
 
@@ -399,7 +399,7 @@ def gaussian_bias(delta_days: np.ndarray, mu: Tensor, rho: Tensor,
             mu._accum(scale.data * gkz.sum(axis=axes) / sigma)
         if rho.requires_grad:
             rho._accum(scale.data * (gkz * z).sum(axis=axes) / sigma
-                       * expit(rho.data))
+                       * logistic(rho.data))
         if scale.requires_grad:
             scale._accum(gk.sum(axis=axes))
         if shift.requires_grad:
@@ -407,15 +407,6 @@ def gaussian_bias(delta_days: np.ndarray, mu: Tensor, rho: Tensor,
 
     return Tensor._make(k * scale.data[per_head] + shift.data[per_head],
                         (mu, rho, scale, shift), backward)
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted-scaling dropout with masks drawn from ``rng``; the identity
-    without a generator or at rate 0."""
-    if rng is None or rate <= 0.0:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
 
 
 # ---------------------------------------------------------------------------

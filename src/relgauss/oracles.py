@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import numcore as nc
 from .attention import SIGMA_MIN_DAYS, AttentionLayer, GaussianBiasParams
@@ -205,7 +204,7 @@ def _gradient_margin(bias: GaussianBiasParams, delta: np.ndarray,
         w = bias.proj_scale.data[h] * weights[..., h, :, :].ravel()
         d_mu = w * [grad_mu_closed_form(float(x), mu, s) for x in delta.ravel()]
         # d kernel / d sigma = d kernel / d mu * (dt - mu) / sigma
-        d_rho = d_mu * (delta.ravel() - mu) / s * expit(bias.rho.data[h])
+        d_rho = d_mu * (delta.ravel() - mu) / s * nc.logistic(bias.rho.data[h])
         for param, terms in ((bias.mu, d_mu), (bias.rho, d_rho)):
             closed, scale = terms.sum(), np.abs(terms).sum()
             theta, step = param.data[h], 1e-5 * s  # balances truncation and rounding

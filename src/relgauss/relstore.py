@@ -116,10 +116,12 @@ def load_schema(path: str) -> DatabaseSchema:
                       ("target_table", "target_column", "kind", "seed_time_column")))
     if task.target_table not in names:
         raise SchemaError(f"task target_table {task.target_table!r} unknown")
-    target_cols = {c.name for c in dict(tables)[task.target_table]}
-    if task.target_column not in target_cols:
-        raise SchemaError(f"task target_column {task.target_column!r} missing "
-                          f"from table {task.target_table!r}")
+    target_kinds = {c.name: c.kind for c in dict(tables)[task.target_table]}
+    for key, kind in (("target_column", "numerical"), ("seed_time_column", "timestamp")):
+        found = target_kinds.get(getattr(task, key), "missing")
+        if found != kind:
+            raise SchemaError(f"task {key} {getattr(task, key)!r} is {found} in table "
+                              f"{task.target_table!r}; it must be {kind}")
     if task.kind not in ("binary_classification", "regression"):
         raise SchemaError(f"unknown task kind {task.kind!r}")
     return DatabaseSchema(tables=tables, task=task)
@@ -391,10 +393,7 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
             # the first timestamp column is the node's tau
             node_time[lo:lo + tc.n_rows] = tc.timestamps[ts_cols[0]]
         if tname == task.target_table:
-            seed_ts = tc.timestamps.get(task.seed_time_column)
-            if seed_ts is None:
-                raise SchemaError(
-                    f"seed_time_column {task.seed_time_column!r} missing in target table")
+            seed_ts = tc.timestamps[task.seed_time_column]
             if np.any(~np.isfinite(seed_ts)):
                 raise TableDataError("target-table row lacks a seed timestamp")
             node_time[lo:lo + tc.n_rows] = seed_ts

@@ -174,15 +174,10 @@ def write_db(config: SynthConfig, out_dir: str) -> None:
     with open(os.path.join(out_dir, "schema.json"), "w") as fh:
         json.dump(SCHEMA_DICT, fh, indent=1)
         fh.write("\n")
-    for name, header, rows in (
-        ("entities", ["entity_id", "segment", "base_value", "activity",
-                      "seed_time", "label"], entity_rows),
-        ("events", ["event_id", "entity_id", "partner_id", "event_time",
-                    "intensity", "magnitude"], event_rows),
-    ):
-        with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="") as fh:
+    for table, rows in zip(SCHEMA_DICT["tables"], (entity_rows, event_rows), strict=True):
+        with open(os.path.join(out_dir, f"{table['name']}.csv"), "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            writer.writerow([c["name"] for c in table["columns"]])
             writer.writerows(rows)
 
 

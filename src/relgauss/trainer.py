@@ -34,12 +34,8 @@ class TrainConfig:
     # the temporal-bias scalars live in day units, so they need a much
     # larger effective step than the weight matrices
     bias_lr_multiplier: float = 2000.0
-    # examples fused per forward pass; the optimizer still steps once per
-    # batch. Each micro-batch runs its own backward, which frees its tape,
-    # so a step holds one micro-batch's tape at a time. Eval scores agree
-    # across sizes to about 1e-15, but training dropout masks are drawn
-    # per pass, so the random stream, and with it the trained weights,
-    # follow the micro-batch layout
+    # examples fused per forward pass, and each runs its own backward, so a
+    # step holds one micro-batch's tape; it changes speed and memory only
     micro_batch: int = 8
     # score every k-th validation row during training (test scoring always
     # uses the full split); >1 trades val-metric resolution for speed
@@ -281,8 +277,7 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     targets = _target_values(schema, tables)
     params = model.parameters()
     state = AdamState()
-    rng = np.random.default_rng(config.rng_seed)
-    run_seed = config.rng_seed
+    order_rng = np.random.default_rng(config.rng_seed)
     embed = EmbeddingCache(model, graph, tables)
     lr_mult = {name: config.bias_lr_multiplier for name in params
                if name.endswith((".bias.mu", ".bias.rho"))}
@@ -296,9 +291,9 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     for epoch in range(1, config.epochs + 1):
         embed.refresh()
         order = np.array(train_rows)
-        rng.shuffle(order)
+        order_rng.shuffle(order)
         epoch_losses = []
-        sampling_rng = np.random.default_rng([config.rng_seed, epoch])
+        sampling_rng = np.random.default_rng([config.rng_seed, epoch, 3])
         n_steps = min(config.max_steps_per_epoch,
                       max(1, len(order) // config.batch_size))
         for step in range(n_steps):
@@ -312,8 +307,12 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                 subs = [sample_row(graph, schema, tables, row, embed, samp_cfg,
                                    ablation, sampling_rng)
                         for row in chunk]
-                scores = model.forward_batch(batch_subgraphs(subs), tables,
-                                             graph, run_seed=run_seed, rng=rng,
+                # each example's own dropout generator; a 4-entry key ending
+                # in 1 equals no 2- or 3-entry key of the other streams
+                rngs = [np.random.default_rng([config.rng_seed, epoch, row, 1])
+                        for row in chunk]
+                scores = model.forward_batch(batch_subgraphs(subs, rngs), tables,
+                                             graph, run_seed=config.rng_seed,
                                              ablation=ablation)
                 item = loss_fn(scores, targets[chunk], task_kind).sum()
                 total = item.data if total is None else total + item.data
@@ -323,7 +322,7 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                 # the batch loss's; backward frees this chunk's tape, and
                 # nothing of the chunk is kept into the next one's forward
                 nc.backward(item * (1.0 / len(batch)))
-                del subs, scores, item
+                del subs, rngs, scores, item
             value = float(total * (1.0 / len(batch)))
             if not all(np.isfinite(p.grad).all() for p in params.values()):
                 raise NumericAbort(f"non-finite gradient at epoch {epoch} step {step}")
@@ -340,7 +339,7 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
         eval_rng = np.random.default_rng([config.rng_seed, epoch, 1])
         val_sub = list(val_rows)[::config.val_stride]
         val_scores = predict_rows(model, graph, schema, tables, val_sub, embed,
-                                  samp_cfg, ablation, run_seed, eval_rng,
+                                  samp_cfg, ablation, config.rng_seed, eval_rng,
                                   micro_batch=config.micro_batch)
         _, val_metric = task_metric(schema, tables, val_sub, val_scores)
         if not np.isfinite(val_metric):

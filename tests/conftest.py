@@ -36,11 +36,11 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray,
     return grad
 
 
-def _make_batch(adjacencies=None, delta_ts=None):
+def _make_batch(adjacencies=None, delta_ts=None, rngs=None):
     """A batch of subgraphs given by local adjacency lists, deltas, or both.
 
     Without adjacency lists the subgraphs have no edges; without deltas
-    every delta is 0.
+    every delta is 0. ``rngs``, one generator per subgraph, turn dropout on.
     """
     if adjacencies is None:
         adjacencies = [[[] for _ in dt] for dt in delta_ts]
@@ -53,7 +53,7 @@ def _make_batch(adjacencies=None, delta_ts=None):
             nodes=np.arange(n), hop=np.zeros(n, dtype=np.int64),
             delta_t=np.zeros(n) if delta_ts is None else np.asarray(delta_ts[b], dtype=float),
             edges=edges, seed_time=0.0))
-    return batch_subgraphs(subs)
+    return batch_subgraphs(subs, rngs)
 
 
 @pytest.fixture

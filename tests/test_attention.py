@@ -168,10 +168,10 @@ def test_dropout_changes_training_output_only(layer, make_batch):
     H = Tensor(rng.normal(size=(4, 8)))
     dt = rng.uniform(0, 86400, size=4)
     with nc.no_grad():
-        batch = make_batch(delta_ts=[dt])
-        eval_out = layer.attend(H, batch)
-        eval_out2 = layer.attend(H, batch, rng=None)
-        train_out = layer.attend(H, batch, rng=np.random.default_rng(6))
+        eval_out = layer.attend(H, make_batch(delta_ts=[dt]))
+        eval_out2 = layer.attend(H, make_batch(delta_ts=[dt], rngs=None))
+        train_out = layer.attend(H, make_batch(delta_ts=[dt],
+                                               rngs=[np.random.default_rng(6)]))
     np.testing.assert_array_equal(eval_out.data, eval_out2.data)
     assert not np.array_equal(eval_out.data, train_out.data)
 

@@ -734,6 +734,24 @@ def test_train_on_a_bad_target_exits_2(gen_dir, tmp_path, capsys, kind, label, s
             and f"target {shown} " in err), err
 
 
+def test_train_on_a_categorical_target_exits_2(gen_dir, tmp_path, capsys):
+    db = tmp_path / "db"
+    shutil.copytree(gen_dir, db)
+    schema = json.loads((db / "schema.json").read_text())
+    for table in schema["tables"]:
+        for column in table["columns"]:
+            if column["name"] == schema["task"]["target_column"]:
+                column["kind"] = "categorical"
+    (db / "schema.json").write_text(json.dumps(schema))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    code, _, err = run(capsys, "train", "--data", str(db), "--config", str(cfg),
+                       "--out", str(tmp_path / "r"), "--quiet")
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "'label'" in err and "numerical" in err, err
+
+
 @pytest.mark.parametrize("command, out", [
     ("gen", "file"),
     ("sample", "missing/sub.json"),

@@ -143,12 +143,16 @@ def test_dropout_only_in_training(make_batch):
     rng = np.random.default_rng(7)
     layer = SageLayer("s", 4, rng, dropout_rate=0.5)
     H = Tensor(rng.normal(size=(3, 4)))
-    batch = make_batch([[[1], [0, 2], [1]]])
+    adjacency = [[[1], [0, 2], [1]]]
+
+    def training(seed):
+        return make_batch(adjacency, rngs=[np.random.default_rng(seed)])
+
     with nc.no_grad():
-        a = layer(H, batch).data
-        b = layer(H, batch, rng=None).data
-        c = layer(H, batch, rng=np.random.default_rng(8)).data
-        d = layer(H, batch, rng=np.random.default_rng(8)).data
+        a = layer(H, make_batch(adjacency)).data
+        b = layer(H, make_batch(adjacency, rngs=None)).data
+        c = layer(H, training(8)).data
+        d = layer(H, training(8)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     np.testing.assert_array_equal(c, d)  # the mask follows the generator

@@ -142,6 +142,48 @@ def test_batch_subgraphs_layout(tiny_db):
         np.testing.assert_array_equal(D[:n, :n], pairwise_delta_days(sub.delta_t))
 
 
+def test_dropout_inverted_scaling_and_eval_identity(make_batch):
+    rows = Tensor(np.ones((100, 10)))
+    pairs = Tensor(np.ones((1, 2, 100, 100)))
+    training = make_batch(delta_ts=[np.zeros(100)], rngs=[np.random.default_rng(8)])
+    for out in (training.dropout(rows, 0.4), training.dropout(pairs, 0.4)):
+        kept = out.data[out.data != 0]
+        np.testing.assert_allclose(kept, 1.0 / 0.6)
+    evaluating = make_batch(delta_ts=[np.zeros(100)])
+    assert evaluating.dropout(rows, 0.4) is rows
+    assert evaluating.dropout(pairs, 0.4) is pairs
+    assert training.dropout(rows, 0.0) is rows
+    assert training.dropout(pairs, 0.0) is pairs
+
+
+def test_a_subgraphs_masks_do_not_depend_on_its_batch(make_batch):
+    """A 3-node subgraph's masks, drawn by two layers in turn, are bitwise the
+    same alone, among other subgraphs and padded to a larger n_max."""
+    d, heads = 6, 2
+
+    def masks(sizes, at):
+        rngs = [np.random.default_rng([42 if b == at else 100 + b, 1])
+                for b in range(len(sizes))]
+        batch = make_batch(delta_ts=[np.zeros(n) for n in sizes], rngs=rngs)
+        rows = slice(batch.seed_positions[at], batch.seed_positions[at] + 3)
+        n_max = max(sizes)
+        out = []
+        for _ in range(2):
+            dropped = batch.dropout(Tensor(np.ones((len(sizes), heads, n_max, n_max))), 0.5)
+            # a padded cell of the subgraph is zeroed
+            assert not dropped.data[at, :, 3:].any() and not dropped.data[at, ..., 3:].any()
+            out.append(dropped.data[at, :, :3, :3])
+            out.append(batch.dropout(Tensor(np.ones((sum(sizes), d))), 0.5).data[rows])
+        return out
+
+    alone = masks([3], 0)
+    cells = np.concatenate([m.ravel() for m in alone])
+    assert 0 < np.count_nonzero(cells) < cells.size
+    for sizes, at in (([2, 3, 1], 1), ([5, 3], 1)):
+        for a, b in zip(alone, masks(sizes, at), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_forward_batch_matches_per_example(tiny_db):
     schema, tables, graph = tiny_db
     model = make_model(tiny_db)

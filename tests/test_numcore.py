@@ -226,16 +226,6 @@ def test_softmax_cross_entropy_toy_matches_finite_differences():
     np.testing.assert_allclose(logits.grad, p.data - onehot, atol=1e-12)
 
 
-def test_dropout_inverted_scaling_and_eval_identity():
-    x = Tensor(np.ones((100, 10)))
-    rng = np.random.default_rng(8)
-    out = nc.dropout(x, 0.4, rng)
-    kept = out.data[out.data != 0]
-    np.testing.assert_allclose(kept, 1.0 / 0.6)
-    assert nc.dropout(x, 0.4, None) is x
-    assert nc.dropout(x, 0.0, rng) is x
-
-
 def test_leaf_gradients_accumulate_across_backward_calls():
     x = Parameter(np.array(3.0), "x")
     nc.backward((x * 2.0).sum())

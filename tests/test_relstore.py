@@ -126,6 +126,20 @@ def test_schema_task_validation(tmp_path):
         load_schema(write_schema(tmp_path, raw))
 
 
+@pytest.mark.parametrize("key, column, found, kind", [
+    ("target_column", "tier", "categorical", "numerical"),
+    ("target_column", "joined", "timestamp", "numerical"),
+    ("seed_time_column", "score", "numerical", "timestamp"),
+    ("seed_time_column", "ghost", "missing", "timestamp"),
+])
+def test_schema_task_columns_need_their_kind(tmp_path, key, column, found, kind):
+    raw = json.loads(json.dumps(BASE_SCHEMA))
+    raw["task"][key] = column
+    with pytest.raises(SchemaError, match=f"task {key} '{column}' is {found} in table "
+                                          f"'users'; it must be {kind}"):
+        load_schema(write_schema(tmp_path, raw))
+
+
 def test_schema_unparseable_json(tmp_path):
     p = tmp_path / "schema.json"
     p.write_text("{not json")

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from relgauss import numcore as nc
 from relgauss import trainer
+from relgauss.encoders import positional_init
 from relgauss.model import AblationFlags, GelModel, ModelConfig, batch_subgraphs
 from relgauss.model import loss as loss_fn
 from relgauss.numcore import Parameter
@@ -251,10 +253,10 @@ def test_per_chunk_backward_matches_one_backward_of_the_summed_loss(small_setup)
              for r in chunk] for chunk in chunks]
 
     def chunk_losses(seed):
-        rng = np.random.default_rng(seed)
         for chunk, chunk_subs in zip(chunks, subs):
-            scores = model.forward_batch(batch_subgraphs(chunk_subs), tables, graph,
-                                         run_seed=0, rng=rng)
+            rngs = [np.random.default_rng([seed, r, 1]) for r in chunk]
+            scores = model.forward_batch(batch_subgraphs(chunk_subs, rngs), tables,
+                                         graph, run_seed=0)
             yield loss_fn(scores, targets[chunk], schema.task.kind).sum()
 
     nc.zero_grad(params.values())
@@ -271,6 +273,38 @@ def test_per_chunk_backward_matches_one_backward_of_the_summed_loss(small_setup)
     assert any(np.any(g != 0) for g in per_chunk.values())
     for name, p in params.items():
         assert np.array_equal(p.grad, per_chunk[name]), name
+
+
+def test_micro_batch_changes_speed_only(small_setup):
+    """Each example draws its dropout masks from its own generator, so the
+    records and the test metric do not follow the micro-batch layout."""
+    runs = {m: run_once(small_setup, micro_batch=m) for m in (1, 4, 8)}
+    ref = runs[1]
+    for m in (4, 8):
+        assert runs[m].test_metric == ref.test_metric, m
+        assert len(runs[m].records) == len(ref.records)
+        for a, b in zip(ref.records, runs[m].records):
+            for key in ("train_loss", "val_metric", "eta", "mu_per_head", "sigma_per_head"):
+                x, y = np.asarray(a[key]), np.asarray(b[key])
+                assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(x))), (m, key)
+
+
+def test_sampling_stream_is_not_a_positional_feature_stream(small_setup, monkeypatch):
+    """Epoch 1's stage-1 sampling stream at seed 0 is not the generator of
+    node 1's positional features."""
+    streams = []
+    sample_row = trainer.sample_row
+
+    def spy(*args):
+        if not streams:
+            streams.append(copy.deepcopy(args[-1]))
+        return sample_row(*args)
+
+    monkeypatch.setattr(trainer, "sample_row", spy)
+    run_once(small_setup, epochs=1, max_steps_per_epoch=1)
+    k = MCFG.pe_dim
+    assert not np.array_equal(streams[0].standard_normal(k),
+                              positional_init(0, np.array([1]), k)[0])
 
 
 def test_training_step_holds_one_micro_batch_tape(small_setup):
