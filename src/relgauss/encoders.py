@@ -10,10 +10,10 @@ are their names in a checkpoint.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import numcore as nc
 from .numcore import Module, Parameter, Tensor
@@ -192,22 +192,40 @@ class PositionalEncoder(Module):
         return self.out(h)
 
 
-@lru_cache(maxsize=1 << 20)
-def _positional_feature(run_seed: int, gid: int, pe_dim: int) -> np.ndarray:
-    return np.random.default_rng([run_seed, gid]).standard_normal(pe_dim)
+# splitmix64 (Steele, Lea and Flood, OOPSLA 2014): the stream increment and
+# the two multipliers of its finaliser
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """One splitmix64 step of each uint64 state; array arithmetic wraps
+    mod 2**64 silently (numpy scalars would warn)."""
+    z = z + _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def positional_init(run_seed: int, global_ids: np.ndarray, pe_dim: int) -> np.ndarray:
-    """Per-node random features keyed by (run seed, global node id).
+    """Per-node standard-normal features keyed by (run seed, global node id).
 
+    Node g's features are the first ``pe_dim`` outputs of a splitmix64
+    stream whose state is hash(run seed) + g, each mapped through the normal
+    quantile of u = (top 52 bits + 1/2) / 2**52, exactly inside (0, 1). (With
+    53 bits, k + 1/2 rounds to even and the top k gives u = 1.) One
+    vectorised call, with no generator and no cache.
     Keying by global id makes the features order-independent, so
     positional encoding is equivariant under relabeling of the local
     subgraph.
     """
-    feats = np.empty((len(global_ids), pe_dim))
-    for i, gid in enumerate(global_ids):
-        feats[i] = _positional_feature(run_seed, int(gid), pe_dim)
-    return feats
+    seed = np.array([run_seed & 0xFFFF_FFFF_FFFF_FFFF], dtype=np.uint64)
+    gids = np.asarray(global_ids, dtype=np.int64).astype(np.uint64)
+    state = _splitmix64(seed) + gids
+    steps = np.arange(pe_dim, dtype=np.uint64) * _GAMMA
+    bits = _splitmix64(state[:, None] + steps[None, :])
+    return ndtri(((bits >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0 ** -52)
 
 
 class FeatureMixer(Module):

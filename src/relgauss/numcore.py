@@ -332,9 +332,12 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = LAYER_NORM_E
     batch-statistics chain written against the normalized activations.
     """
     x = Tensor._coerce(x)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # sum / n is bitwise ndarray.mean (the same add.reduce and true_divide)
+    # without numpy's Python-level wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
 
@@ -345,8 +348,8 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = LAYER_NORM_E
             shift._accum(_unbroadcast(g, shift.shape))
         if x.requires_grad:
             gq = g * gain.data
-            m1 = gq.mean(axis=-1, keepdims=True)
-            m2 = (gq * xhat).mean(axis=-1, keepdims=True)
+            m1 = gq.sum(axis=-1, keepdims=True) / n
+            m2 = (gq * xhat).sum(axis=-1, keepdims=True) / n
             x._accum(inv * (gq - m1 - xhat * m2))
 
     return Tensor._make(xhat * gain.data + shift.data, (x, gain, shift), backward)
@@ -467,7 +470,9 @@ def zero_grad(params: Iterable[Parameter]) -> None:
 # ---------------------------------------------------------------------------
 
 
-CHECKPOINT_FORMAT = 2
+# format 3: positional features come from a keyed hash; a format-2 model was
+# trained against other features and would score as a different model
+CHECKPOINT_FORMAT = 3
 
 
 def save_checkpoint(params: dict[str, Parameter], path: str, run: dict) -> None:

@@ -477,6 +477,8 @@ def without_run_field(section, field):
 @pytest.mark.parametrize("manifest, blob, message", [
     # format 1 was the bare parameter list, with no run
     (lambda m: m["params"], None, "retrain"),
+    # format 2 was trained against other positional features
+    pytest.param(lambda m: dict(m, format=2), None, "retrain", id="format-2"),
     (with_run("model", d=30, n_heads=4), None, "n_heads"),
     (with_run("ablation", no_gnn_branch=1), None, "no_gnn_branch"),
     (with_run("ablation", no_dropout=True), None, "no_dropout"),

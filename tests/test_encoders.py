@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,42 @@ def test_positional_features_keyed_by_global_id():
     np.testing.assert_array_equal(a[1], b[0])
     c = positional_init(8, np.array([3]), 4)
     assert not np.array_equal(a[0], c[0])
+
+
+def test_positional_features_are_standard_normal_and_distinct():
+    feats = positional_init(5, np.arange(100_000), 16)
+    assert np.isfinite(feats).all()
+    assert abs(feats.mean()) < 0.01 and abs(feats.std() - 1.0) < 0.01
+    rows = np.concatenate([positional_init(seed, np.arange(10_000), 16)
+                           for seed in (0, 1, 2, 2**40)])
+    assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+def test_node_zeros_features_are_not_the_shuffle_stream():
+    # numpy's SeedSequence drops trailing zeros, so a key (seed, 0) would be
+    # the generator default_rng(seed) that shuffles the training rows
+    assert not np.array_equal(positional_init(3, np.array([0]), 16)[0],
+                              np.random.default_rng(3).standard_normal(16))
+
+
+def test_positional_features_golden_values():
+    feats = positional_init(0, np.array([0, 1, 2**40]), 4)
+    assert [v.hex() for v in feats.ravel()] == [
+        "0x1.91588c88ea01ap-2", "0x1.0e47948215bb7p-1",
+        "-0x1.25b4c7f001116p-2", "0x1.9c5c166e8e903p-2",
+        "-0x1.efdfb7147f1dcp-1", "0x1.15e7943082f3ap+1",
+        "-0x1.3a5b0a3b8f7c2p-2", "-0x1.616c6ff7fc6bdp-3",
+        "0x1.948f7556f080bp-1", "-0x1.fcf07f5d0cd06p-3",
+        "-0x1.b27c3ab750efcp+0", "0x1.17fd86d3e7967p-4"]
+
+
+def test_positional_features_raise_no_warning():
+    # the hash wraps mod 2**64 on every step: numpy warns on scalar
+    # overflow but not on array overflow, so every step must stay an array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        feats = positional_init(2**64 - 1, np.array([0, 2**62, 2**63 - 1]), 16)
+    assert np.isfinite(feats).all()
 
 
 def test_positional_encoder_equivariant_under_relabeling(rng, make_batch):

@@ -5,6 +5,7 @@ import pytest
 
 from relgauss import numcore as nc
 from relgauss.attention import pairwise_delta_days
+from relgauss.encoders import positional_init
 from relgauss.model import (PAD, AblationFlags, GelModel, ModelConfig,
                             batch_subgraphs, fuse, loss)
 from relgauss.numcore import Tensor
@@ -193,6 +194,21 @@ def test_forward_batch_matches_per_example(tiny_db):
         joint = model.forward_batch(batch, tables, graph, run_seed=0).data
         solo = np.concatenate([score_one(model, s, tiny_db).data for s in subs])
     np.testing.assert_allclose(joint, solo, atol=1e-10)
+
+
+def test_eval_forward_builds_no_generator(tiny_db, monkeypatch):
+    schema, tables, graph = tiny_db
+    model = make_model(tiny_db)
+    batch = batch_subgraphs(subgraphs_for(tiny_db, model))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy Generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    positional_init(987_654_321, batch.nodes, CFG["pe_dim"])
+    with nc.no_grad():
+        model.forward_batch(batch, tables, graph, run_seed=987_654_321)
 
 
 def test_forward_batch_gradients_match_per_example(tiny_db):

@@ -195,6 +195,31 @@ def test_layer_norm_statistics_and_gradient():
     finite_check(lambda: square_sum(nc.layer_norm(x, gain, shift)), [x, gain, shift])
 
 
+def test_layer_norm_is_bitwise_the_mean_formulation():
+    """Sums divided by n give ndarray.mean's bits, forward and backward."""
+    rng = np.random.default_rng(11)
+    for shape, scale in (((5, 7), 1.0), ((2, 3, 16), 1e3), ((4, 64), 1e-4), ((3, 1), 1.0)):
+        n = shape[-1]
+        x = Parameter(rng.normal(size=shape) * scale + scale, "x")
+        gain = Parameter(rng.normal(size=n) + 1, "g")
+        shift = Parameter(rng.normal(size=n), "s")
+        g = rng.normal(size=shape)
+        out = nc.layer_norm(x, gain, shift)
+        nc.zero_grad([x, gain, shift])
+        nc.backward((out * Tensor(g)).sum())
+
+        mu = x.data.mean(axis=-1, keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + nc.LAYER_NORM_EPS)
+        xhat = centered * inv
+        gq = g * gain.data
+        m1 = gq.mean(axis=-1, keepdims=True)
+        m2 = (gq * xhat).mean(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(out.data, xhat * gain.data + shift.data)
+        np.testing.assert_array_equal(x.grad, inv * (gq - m1 - xhat * m2))
+
+
 def test_linear_matches_manual_and_gradient():
     rng = np.random.default_rng(6)
     x = Parameter(rng.normal(size=(3, 4)), "x")
@@ -325,7 +350,7 @@ def test_checkpoint_roundtrip(tmp_path):
     blob = (tmp_path / "ckpt.bin").read_bytes()
     assert blob == b"".join(p.data.astype("<f8").tobytes() for p in params.values())
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
-    assert manifest["format"] == 2 and manifest["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert manifest["format"] == 3 and manifest["sha256"] == hashlib.sha256(blob).hexdigest()
     assert [e["shape"] for e in manifest["params"]] == [[3, 2], [3], []]
     assert nc.checkpoint_run(path) == run
     originals = {k: p.data.copy() for k, p in params.items()}
@@ -394,9 +419,11 @@ def test_load_checkpoint_unreadable_files(tmp_path):
 @pytest.mark.parametrize("manifest, match", [
     # format 1 was the bare parameter list, with no run
     ([{"name": "a", "shape": [3], "offset": 0}], "format 1.*retrain"),
-    ({"format": 3, "run": {}, "params": []}, "format 3"),
+    ({"format": 4, "run": {}, "params": []}, "format 4"),
     ({"run": {}, "params": []}, "format None"),
-    ({"format": 2, "run": [], "params": []}, "no run object"),
+    ({"format": 3, "run": [], "params": []}, "no run object"),
+    # format 2 was trained against other positional features
+    ({"format": 2, "run": {}, "params": []}, "format 2.*retrain"),
 ])
 def test_checkpoint_manifest_of_another_format_is_refused(tmp_path, manifest, match):
     params = {"a": Parameter(np.arange(3.0), "a")}
