@@ -12,15 +12,28 @@ won (ties count for neither side) and whether the gap between the medians
 exceeds the parent's quartile spread. The metrics and which way is better
 come from ``BENCHMARK.json``. ``--out FILE`` also writes every run's result
 object and the summary as JSON. Exits 1 if any run is not ``correct``.
+
+    python3 scripts/bench_pairs.py --parent ../base --change . --seed 1 --numerics
+
+``--numerics`` compares the two checkouts' numbers instead of their speed.
+In each checkout, with its own ``src`` and perfbench, a child process runs
+one ``train-bench`` train call, one ``score-deep`` pass, and a CLI ``gen``
+of a 200-entity database and ``train --seed 0`` at the ``train-bench``
+configs. For the epoch records, the 400 scores, ``metrics.jsonl`` and
+``checkpoint.bin`` it prints both sides' sha256 and the largest absolute
+and relative differences of their numbers. Exits 1 if a digest differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -79,15 +92,145 @@ def format_rows(rows: list[dict]) -> str:
         for r in rows)
 
 
+NUMERICS_FILES = ("records.json", "scores.bin", "metrics.jsonl", "checkpoint.bin")
+CLI_ENTITIES = 200
+
+
+def write_numerics(checkout: str, out: str, seed: int) -> None:
+    """Write the ``NUMERICS_FILES`` of ``checkout`` under ``out``. Imports that
+    checkout's relgauss and perfbench, so it runs in a process of its own."""
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    import run as perfbench_run
+    import workloads
+    from relgauss import cli
+
+    package = os.path.join(checkout, "src", "relgauss")
+    bench = workloads.TrainBench(*perfbench_run.ensure_db(workloads.TRAIN_ENTITIES, seed),
+                                 package)
+    bench.unit(bench.setup(1)[1])
+    with open(os.path.join(out, "records.json"), "w") as fh:
+        fh.write(bench.first_records)  # the records as JSON, keys sorted
+    deep = workloads.ScoreDeep(*perfbench_run.ensure_db(workloads.SCORE_ENTITIES, seed),
+                               package)
+    deep.unit(deep.setup(1)[1])
+    deep.first_scores.astype("<f8").tofile(os.path.join(out, "scores.bin"))
+
+    configs = {"gen.json": {"n_entities": CLI_ENTITIES},
+               "run.json": {"model": workloads.TRAIN_MODEL, "train": workloads.TRAIN_CONFIG,
+                            "sampling": workloads.TRAIN_SAMPLING}}
+    for name, raw in configs.items():
+        with open(os.path.join(out, name), "w") as fh:
+            json.dump(raw, fh)
+    db, run_dir = os.path.join(out, "db"), os.path.join(out, "run")
+    for argv in (["gen", "--config", os.path.join(out, "gen.json"), "--out", db,
+                  "--seed", str(seed)],
+                 ["train", "--data", db, "--config", os.path.join(out, "run.json"),
+                  "--out", run_dir, "--seed", "0", "--quiet"]):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"relgauss {argv[0]} failed in {checkout}")
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        shutil.copy(os.path.join(run_dir, name), os.path.join(out, name))
+
+
+def numbers(name: str, data: bytes) -> np.ndarray:
+    """The values of one numerics file as float64: a ``.bin`` file is raw LE
+    float64, a JSON or JSON-lines file gives every number it holds, in
+    order (null as NaN; strings and booleans are skipped)."""
+    if name.endswith(".bin"):
+        return np.frombuffer(data, dtype="<f8")
+    values: list[float] = []
+
+    def walk(x) -> None:
+        if isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v)
+        elif x is None or (isinstance(x, (int, float)) and not isinstance(x, bool)):
+            values.append(np.nan if x is None else float(x))
+
+    for line in data.decode().splitlines():
+        if line.strip():
+            walk(json.loads(line))
+    return np.array(values, dtype=np.float64)
+
+
+def compare_numerics(parent: dict[str, bytes], change: dict[str, bytes]) -> list[dict]:
+    """Per file of ``parent`` (name -> bytes): both sides' sha256, whether
+    they are equal, and the largest absolute and relative differences of the
+    two sides' numbers (None when their counts differ)."""
+    rows = []
+    for name, p_data in parent.items():
+        c_data = change[name]
+        row = {"name": name, "parent_sha256": hashlib.sha256(p_data).hexdigest(),
+               "change_sha256": hashlib.sha256(c_data).hexdigest(),
+               "max_abs": None, "max_rel": None}
+        row["equal"] = row["parent_sha256"] == row["change_sha256"]
+        a, b = numbers(name, p_data), numbers(name, c_data)
+        row["values"] = [len(a), len(b)]
+        if len(a) == len(b):
+            same = (a == b) | (np.isnan(a) & np.isnan(b))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                diff = np.where(same, 0.0, np.abs(a - b))
+                rel = np.where(same, 0.0, diff / np.abs(a))
+            row["max_abs"] = float(diff.max(initial=0.0))
+            row["max_rel"] = float(rel.max(initial=0.0))
+        rows.append(row)
+    return rows
+
+
+def format_numerics(rows: list[dict]) -> str:
+    lines = []
+    for r in rows:
+        gap = (f"max abs {r['max_abs']:.3g}  max rel {r['max_rel']:.3g}"
+               if r["max_abs"] is not None
+               else f"{r['values'][0]} against {r['values'][1]} values")
+        lines.append(f"{r['name']:14s} {'equal  ' if r['equal'] else 'DIFFERS'}  {gap}\n"
+                     f"  parent {r['parent_sha256']}\n  change {r['change_sha256']}")
+    return "\n".join(lines)
+
+
+def run_numerics(parent: str, change: str, seed: int) -> list[dict]:
+    files = {}
+    with tempfile.TemporaryDirectory(prefix="bench-numerics-") as tmp:
+        for side, checkout in (("parent", parent), ("change", change)):
+            out = os.path.join(tmp, side)
+            os.makedirs(out)
+            subprocess.run([sys.executable, os.path.abspath(__file__), "--numerics-child",
+                            os.path.abspath(checkout), out, str(seed)],
+                           cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+            files[side] = {}
+            for name in NUMERICS_FILES:
+                with open(os.path.join(out, name), "rb") as fh:
+                    files[side][name] = fh.read()
+    return compare_numerics(files["parent"], files["change"])
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--numerics-child"]:
+        checkout, out, seed = sys.argv[2:]
+        write_numerics(checkout, out, int(seed))
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--numerics", action="store_true",
+                    help="compare the checkouts' numbers, not their speed")
     ap.add_argument("--out", help="write every run and the summary to this JSON file")
     args = ap.parse_args()
+    if args.numerics:
+        rows = run_numerics(args.parent, args.change, args.seed)
+        print(format_numerics(rows))
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump({"seed": args.seed, "numerics": rows}, fh, indent=1)
+        return 0 if all(r["equal"] for r in rows) else 1
+    if args.workload is None:
+        ap.error("--workload is required without --numerics")
     metrics = end_to_end_metrics()
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}

@@ -176,14 +176,15 @@ def cmd_ingest(args) -> int:
 
 def cmd_sample(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
-    model_cfg, _, samp_cfg = _configs(_load_json(args.config), args.seed)
+    model_cfg, train_cfg, samp_cfg = _configs(_load_json(args.config), args.seed)
     n_rows = tables.tables[schema.task.target_table].n_rows
     if not 0 <= args.row < n_rows:
         raise ConfigError(f"row {args.row} out of range [0, {n_rows})")
     # semantic refinement ranks by the tabular embeddings of this model
     embed = EmbeddingCache(GelModel(model_cfg, schema, tables), graph, tables)
     sub = sample_row(graph, schema, tables, args.row, embed, samp_cfg,
-                     AblationFlags(no_semantic_refinement=args.no_semantic_refinement))
+                     AblationFlags(no_semantic_refinement=args.no_semantic_refinement),
+                     (train_cfg.rng_seed, 0))
     payload = json.dumps(subgraph_to_dict(sub))
     if args.out:
         with _writing(args.out), open(args.out, "w") as fh:

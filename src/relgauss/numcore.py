@@ -476,20 +476,17 @@ CHECKPOINT_FORMAT = 3
 
 
 def save_checkpoint(params: dict[str, Parameter], path: str, run: dict) -> None:
-    """Write the parameters as one raw LE float64 blob, ``path.bin``, and a
-    JSON manifest, ``path.json``: the format number, ``run`` (a JSON object
-    saying what the parameters belong to, not read here), the blob's sha256
-    and each parameter's name, shape and byte offset."""
-    entries = []
-    offset = 0
+    """Write the parameters as one raw LE float64 blob, ``path.bin``, in
+    their order, and a JSON manifest, ``path.json``: the format number,
+    ``run`` (a JSON object saying what the parameters belong to, not read
+    here), the blob's sha256 and each parameter's name and shape."""
     digest = hashlib.sha256()
     with open(path + ".bin", "wb") as blob:
-        for name, p in params.items():
+        for p in params.values():
             data = np.asarray(p.data, dtype="<f8").tobytes()  # C order
-            entries.append({"name": name, "shape": list(p.data.shape), "offset": offset})
             blob.write(data)
             digest.update(data)
-            offset += len(data)
+    entries = [{"name": name, "shape": list(p.data.shape)} for name, p in params.items()]
     with open(path + ".json", "w") as fh:
         json.dump({"format": CHECKPOINT_FORMAT, "run": run,
                    "sha256": digest.hexdigest(), "params": entries}, fh, indent=1)
@@ -522,7 +519,9 @@ def checkpoint_run(path: str) -> dict:
 
 
 def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
-    """Read every parameter from ``path``; nothing is assigned unless all fit."""
+    """Read every parameter from ``path``; nothing is assigned unless all fit.
+    The manifest lists the model's names and shapes in its order, and the
+    blob holds them back to back; an older manifest's ``offset`` is unread."""
     manifest = _read_manifest(path)
     try:
         with open(path + ".bin", "rb") as fh:
@@ -530,25 +529,26 @@ def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        by_name = {e["name"]: (tuple(int(n) for n in e["shape"]), int(e["offset"]))
-                   for e in manifest["params"]}
+        saved = [(e["name"], tuple(int(n) for n in e["shape"])) for e in manifest["params"]]
     except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest {path}.json: {exc!r}") from exc
-    arrays = {}
-    for name, p in params.items():
-        if name not in by_name:
-            raise CheckpointError(f"checkpoint {path} has no parameter {name!r}")
-        shape, offset = by_name[name]
-        if shape != p.data.shape:
-            raise CheckpointError(f"checkpoint {path}: {name!r} has shape {shape}, "
+    for i, (name, p) in enumerate(params.items()):
+        if i >= len(saved) or saved[i][0] != name:
+            raise CheckpointError(f"checkpoint {path} has no parameter {name!r} "
+                                  f"in place {i} of its manifest")
+        if saved[i][1] != p.data.shape:
+            raise CheckpointError(f"checkpoint {path}: {name!r} has shape {saved[i][1]}, "
                                   f"the model has {p.data.shape}")
-        end = offset + 8 * p.data.size
-        if offset < 0 or end > len(blob):
-            raise CheckpointError(f"checkpoint {path}: {name!r} needs bytes "
-                                  f"[{offset}, {end}) of a {len(blob)}-byte blob")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset)
+    if len(saved) > len(params):
+        raise CheckpointError(f"checkpoint {path} has parameter {saved[len(params)][0]!r}, "
+                              f"which the model lacks")
+    sizes = [p.data.size for p in params.values()]
+    if len(blob) != 8 * sum(sizes):
+        raise CheckpointError(f"checkpoint {path} needs bytes [0, {8 * sum(sizes)}) "
+                              f"and its blob holds {len(blob)}")
     if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
         raise CheckpointError(f"checkpoint {path}: the blob's sha256 does not match "
                               f"its manifest")
-    for name, p in params.items():
-        p.data = arrays[name].reshape(p.data.shape).astype(np.float64)
+    flat = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
+    for p, values in zip(params.values(), flat):
+        p.data = values.reshape(p.data.shape).astype(np.float64)

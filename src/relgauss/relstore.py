@@ -56,12 +56,6 @@ class DatabaseSchema:
     tables: list[tuple[str, list[ColumnSpec]]]
     task: TaskSpec
 
-    def table(self, name: str) -> list[ColumnSpec]:
-        for tname, cols in self.tables:
-            if tname == name:
-                return cols
-        raise KeyError(name)
-
     def table_names(self) -> list[str]:
         return [t for t, _ in self.tables]
 
@@ -97,9 +91,13 @@ def load_schema(path: str) -> DatabaseSchema:
         cols = [ColumnSpec(_field(c, "name", str, where), _field(c, "kind", str, where),
                            c.get("target_table"))
                 for c in _field(t, "columns", list, f"table {name!r}")]
+        seen: set[str] = set()
         for c in cols:
             if c.kind not in COLUMN_KINDS:
                 raise SchemaError(f"unknown column kind {c.kind!r} in table {name!r}")
+            if c.name in seen:
+                raise SchemaError(f"duplicate column name {c.name!r} in table {name!r}")
+            seen.add(c.name)
         pks = [c for c in cols if c.kind == "primary_key"]
         if len(pks) != 1:
             raise SchemaError(f"table {name!r} must have exactly one primary_key, found {len(pks)}")

@@ -48,18 +48,17 @@ class SampledSubgraph:
 
 
 def structural_sample(graph: RelGraph, seed: int, seed_time: float,
-                      config: SamplingConfig, budget: int | None = ...,
+                      config: SamplingConfig, budget: int | None = None,
                       ) -> np.ndarray:
     """BFS candidates as (k, 2) rows of (node, hop), in (hop, id) order.
 
-    The seed comes first and counts against the budget. Each level takes
-    the not yet visited neighbours of the frontier that strictly predate
-    ``seed_time``, in ascending id order, until the budget.
+    The seed comes first and counts against the budget, which is
+    ``config.stage1_budget`` unless given. Each level takes the not yet
+    visited neighbours of the frontier that strictly predate ``seed_time``,
+    in ascending id order, until the budget.
     """
-    if budget is ...:
+    if budget is None:
         budget = config.stage1_budget
-    elif budget is None:
-        budget = graph.n_nodes  # more than any level can add: no cut
     adj = graph.merged_adjacency
     visited = np.zeros(graph.n_nodes, dtype=bool)
     visited[seed] = True
@@ -129,7 +128,7 @@ def sample(graph: RelGraph, seed: int, seed_time: float, embeddings,
     the full temporally-valid <=max_hop neighborhood (budget unchanged).
     """
     if random_stage1_rng is not None:
-        candidates = structural_sample(graph, seed, seed_time, config, budget=None)
+        candidates = structural_sample(graph, seed, seed_time, config, budget=graph.n_nodes)
         others = candidates[1:]
         take = min(config.stage1_budget - 1, len(others))
         if take < len(others):

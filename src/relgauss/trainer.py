@@ -176,7 +176,6 @@ class EmbeddingCache:
 @dataclass
 class TrainResult:
     records: list[dict]
-    best_params: dict[str, np.ndarray]
     best_metric: float
     test_scores: np.ndarray | None = None
     test_metric: float | None = None
@@ -201,20 +200,22 @@ def _target_values(schema: DatabaseSchema, tables: TableData) -> np.ndarray:
 
 def sample_row(graph: RelGraph, schema: DatabaseSchema, tables: TableData,
                row: int, embed, samp_cfg: SamplingConfig, ablation: AblationFlags,
-               rng: np.random.Generator | None = None) -> SampledSubgraph:
-    """The subgraph sampled around target-table row ``row`` at its seed time."""
+               stream: tuple[int, int]) -> SampledSubgraph:
+    """The subgraph sampled around target-table row ``row`` at its seed time.
+    ``stream``, the (run seed, epoch) pair, keys the row's own random stage-1
+    draw; eval passes epoch 0, which no training epoch is."""
     task = schema.task
     seed_time = tables.tables[task.target_table].timestamps[task.seed_time_column][row]
+    rng = (np.random.default_rng([*stream, row, 3])
+           if ablation.no_structural_sampling else None)
     return sample(graph, graph.node_id(task.target_table, row), float(seed_time),
-                  embed, samp_cfg,
-                  skip_refinement=ablation.no_semantic_refinement,
-                  random_stage1_rng=rng if ablation.no_structural_sampling else None)
+                  embed, samp_cfg, skip_refinement=ablation.no_semantic_refinement,
+                  random_stage1_rng=rng)
 
 
 def predict_rows(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                  tables: TableData, rows: list[int], embed, samp_cfg: SamplingConfig,
-                 ablation: AblationFlags, run_seed: int,
-                 sampling_rng: np.random.Generator | None = None, *,
+                 ablation: AblationFlags, run_seed: int, *,
                  micro_batch: int) -> np.ndarray:
     """Eval-mode scores for target-table rows (dropout off, no graph)."""
     scores = np.empty(len(rows))
@@ -222,7 +223,7 @@ def predict_rows(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
         for lo in range(0, len(rows), micro_batch):
             chunk = rows[lo:lo + micro_batch]
             subs = [sample_row(graph, schema, tables, row, embed, samp_cfg,
-                               ablation, sampling_rng)
+                               ablation, (run_seed, 0))
                     for row in chunk]
             out = model.forward_batch(batch_subgraphs(subs), tables, graph,
                                       run_seed=run_seed, ablation=ablation)
@@ -237,9 +238,8 @@ def score_test(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
     """Eval-mode scores of the test rows, the task metric's name and its
     value, as the run with ``config`` scores them at the end of ``train``."""
     embed = EmbeddingCache(model, graph, tables)
-    rng = np.random.default_rng([config.rng_seed, 0, 2])
     scores = predict_rows(model, graph, schema, tables, test_rows, embed, samp_cfg,
-                          ablation, config.rng_seed, rng, micro_batch=config.micro_batch)
+                          ablation, config.rng_seed, micro_batch=config.micro_batch)
     return scores, *task_metric(schema, tables, test_rows, scores)
 
 
@@ -293,7 +293,6 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
         order = np.array(train_rows)
         order_rng.shuffle(order)
         epoch_losses = []
-        sampling_rng = np.random.default_rng([config.rng_seed, epoch, 3])
         n_steps = min(config.max_steps_per_epoch,
                       max(1, len(order) // config.batch_size))
         for step in range(n_steps):
@@ -305,10 +304,10 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
             for lo in range(0, len(batch), config.micro_batch):
                 chunk = [int(r) for r in batch[lo:lo + config.micro_batch]]
                 subs = [sample_row(graph, schema, tables, row, embed, samp_cfg,
-                                   ablation, sampling_rng)
+                                   ablation, (config.rng_seed, epoch))
                         for row in chunk]
-                # each example's own dropout generator; a 4-entry key ending
-                # in 1 equals no 2- or 3-entry key of the other streams
+                # each example's own dropout generator; its key ends in 1,
+                # the stage-1 draw's in 3, the shuffle's is the bare seed
                 rngs = [np.random.default_rng([config.rng_seed, epoch, row, 1])
                         for row in chunk]
                 scores = model.forward_batch(batch_subgraphs(subs, rngs), tables,
@@ -336,10 +335,9 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
             epoch_losses.append(value)
 
         embed.refresh()  # post-update embeddings for evaluation sampling
-        eval_rng = np.random.default_rng([config.rng_seed, epoch, 1])
         val_sub = list(val_rows)[::config.val_stride]
         val_scores = predict_rows(model, graph, schema, tables, val_sub, embed,
-                                  samp_cfg, ablation, config.rng_seed, eval_rng,
+                                  samp_cfg, ablation, config.rng_seed,
                                   micro_batch=config.micro_batch)
         _, val_metric = task_metric(schema, tables, val_sub, val_scores)
         if not np.isfinite(val_metric):
@@ -363,12 +361,11 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
 
     # restore best-val weights and score the test split
     for n, p in params.items():
-        p.data = best_params[n].copy()
+        p.data = best_params[n]
     test_scores, _, test_metric = score_test(model, graph, schema, tables, test_rows,
                                              config, samp_cfg, ablation)
-    return TrainResult(records=records, best_params=best_params,
-                       best_metric=best_metric, test_scores=test_scores,
-                       test_metric=test_metric)
+    return TrainResult(records=records, best_metric=best_metric,
+                       test_scores=test_scores, test_metric=test_metric)
 
 
 def run_ablation_sweep(graph: RelGraph, schema: DatabaseSchema, tables: TableData,

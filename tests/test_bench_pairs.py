@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,3 +37,27 @@ def test_summary_of_fixed_pairs():
 def test_metrics_are_the_benchmarks_end_to_end_metrics():
     names = [m["name"] for m in bench_pairs.end_to_end_metrics()]
     assert "op_ms.tail" in names and "peak_rss_mb" in names
+
+
+def test_numerics_comparison_of_fixed_files():
+    floats = np.array([1.0, -2.0, 0.5]).astype("<f8").tobytes()
+    nudged = np.array([1.0, -2.0 - 2e-6, 0.5]).astype("<f8").tobytes()
+    records = b'[{"epoch": 1, "eta": 0.5, "mu": [0.25, null], "tag": "full", "ok": true}]'
+    lines = b'{"epoch": 1, "loss": 0.7}\n{"epoch": 2, "loss": 0.6}\n'
+    parent = {"scores.bin": floats, "records.json": records, "metrics.jsonl": lines}
+    change = {"scores.bin": nudged, "records.json": records,
+              "metrics.jsonl": b'{"epoch": 1, "loss": 0.7}\n'}
+    scores, recs, metrics = bench_pairs.compare_numerics(parent, change)
+    assert not scores["equal"] and scores["values"] == [3, 3]
+    assert scores["max_abs"] == pytest.approx(2e-6, rel=1e-9)
+    assert scores["max_rel"] == pytest.approx(1e-6, rel=1e-9)
+    # numbers in order, null as NaN, equal to itself; strings and booleans skipped
+    np.testing.assert_array_equal(bench_pairs.numbers("records.json", records),
+                                  [1.0, 0.5, 0.25, np.nan])
+    assert recs["equal"] and recs["parent_sha256"] == recs["change_sha256"]
+    assert (recs["max_abs"], recs["max_rel"]) == (0.0, 0.0)
+    assert not metrics["equal"] and metrics["values"] == [4, 2]
+    assert metrics["max_abs"] is None
+    json.dumps([scores, recs, metrics])  # --out writes the rows as they are
+    text = bench_pairs.format_numerics([scores, recs, metrics])
+    assert text.count("DIFFERS") == 2 and "4 against 2 values" in text

@@ -489,6 +489,9 @@ def without_run_field(section, field):
      None, "every field"),
     (without_run_field("train", "rng_seed"), None, "every field"),
     (None, lambda b: b[:9] + bytes([b[9] ^ 1]) + b[10:], "sha256"),
+    # an entry the model lacks used to be ignored
+    pytest.param(lambda m: dict(m, params=m["params"] + [{"name": "extra", "shape": [1]}]),
+                 lambda b: b + bytes(8), "'extra', which the model lacks", id="extra-entry"),
 ])
 def test_eval_damaged_checkpoint_exits_2(trained, gen_dir, tmp_path, capsys,
                                          manifest, blob, message):
@@ -734,6 +737,28 @@ def test_train_on_a_bad_target_exits_2(gen_dir, tmp_path, capsys, kind, label, s
     assert_one_error_line(err)
     assert ("'entities'" in err and "'label'" in err and "row 3:" in err
             and f"target {shown} " in err), err
+
+
+@pytest.mark.parametrize("command", ["ingest", "sample", "train"])
+def test_a_column_name_repeated_in_a_table_exits_2(gen_dir, tmp_path, capsys, command):
+    """A second 'intensity' column used to overwrite the first one's values."""
+    db = tmp_path / "db"
+    shutil.copytree(gen_dir, db)
+    schema = json.loads((db / "schema.json").read_text())
+    for table in schema["tables"]:
+        for column in table["columns"]:
+            if column["name"] == "magnitude":
+                column["name"] = "intensity"
+    (db / "schema.json").write_text(json.dumps(schema))
+    header, rest = (db / "events.csv").read_text().split("\n", 1)
+    assert "intensity" in header.split(",")
+    (db / "events.csv").write_text(header.replace("magnitude", "intensity") + "\n" + rest)
+    args = {"ingest": [], "sample": ["--row", "0"],
+            "train": ["--out", str(tmp_path / "r"), "--quiet"]}[command]
+    code, _, err = run(capsys, command, "--data", str(db), *args)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "duplicate column name 'intensity' in table 'events'" in err
 
 
 def test_train_on_a_categorical_target_exits_2(gen_dir, tmp_path, capsys):

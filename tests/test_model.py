@@ -10,6 +10,7 @@ from relgauss.model import (PAD, AblationFlags, GelModel, ModelConfig,
                             batch_subgraphs, fuse, loss)
 from relgauss.numcore import Tensor
 from relgauss.sampler import SamplingConfig, sample
+from relgauss.trainer import TrainConfig, score_test
 
 
 CFG = dict(d=16, n_layers=2, n_heads=2, pe_dim=4, dropout=0.0)
@@ -209,6 +210,9 @@ def test_eval_forward_builds_no_generator(tiny_db, monkeypatch):
     positional_init(987_654_321, batch.nodes, CFG["pe_dim"])
     with nc.no_grad():
         model.forward_batch(batch, tables, graph, run_seed=987_654_321)
+    # nor does scoring test rows end to end, sampling included
+    score_test(model, graph, schema, tables, [0, 1, 2], TrainConfig(micro_batch=2),
+               SamplingConfig(), AblationFlags())
 
 
 def test_forward_batch_gradients_match_per_example(tiny_db):

@@ -406,6 +406,51 @@ def test_load_checkpoint_validates_before_assigning(tmp_path, damage, match):
     assert all(params[k].data is zeros[k] for k in params)
 
 
+@pytest.mark.parametrize("offset", [lambda o: o + 8, lambda o: 1.5],
+                         ids=["moved-by-8", "float"])
+def test_load_checkpoint_reads_the_blob_in_parameter_order(tmp_path, offset):
+    """The blob holds the parameters back to back in their order; an edited
+    ``offset`` key, which older manifests carry, moves nothing."""
+    params = {"a": Parameter(np.arange(3.0), "a"),
+              "b": Parameter(np.arange(9.0).reshape(3, 3) / 7, "b")}
+    saved = {k: p.data.copy() for k, p in params.items()}
+    path = str(tmp_path / "ckpt")
+    nc.save_checkpoint(params, path, {})
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    keys = [sorted(e) for e in manifest["params"]]
+    for e, o in zip(manifest["params"], (0, 24)):
+        e["offset"] = offset(o)
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    for p in params.values():
+        p.data = np.zeros_like(p.data)
+    nc.load_checkpoint(params, path)
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.data, saved[k])
+    assert keys == [["name", "shape"]] * 2  # no layout is written
+
+
+@pytest.mark.parametrize("damage, match", [
+    ("reorder", "no parameter 'a' in place 0"),
+    ("extra", "'c', which the model lacks"),
+    ("longer blob", r"needs bytes \[0, 96\) and its blob holds 104"),
+], ids=["reorder", "extra", "longer-blob"])
+def test_load_checkpoint_needs_the_models_parameter_list(tmp_path, damage, match):
+    params = {"a": Parameter(np.arange(3.0), "a"),
+              "b": Parameter(np.arange(9.0).reshape(3, 3), "b")}
+    path = str(tmp_path / "ckpt")
+    nc.save_checkpoint(params, path, {})
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    if damage == "reorder":
+        manifest["params"].reverse()
+    elif damage == "extra":
+        manifest["params"].append({"name": "c", "shape": [1]})
+    else:
+        (tmp_path / "ckpt.bin").write_bytes((tmp_path / "ckpt.bin").read_bytes() + bytes(8))
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    with pytest.raises(nc.CheckpointError, match=match):
+        nc.load_checkpoint(params, path)
+
+
 def test_load_checkpoint_unreadable_files(tmp_path):
     params = {"a": Parameter(np.arange(3.0), "a")}
     with pytest.raises(nc.CheckpointError, match="cannot read"):

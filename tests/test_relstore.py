@@ -76,7 +76,7 @@ def test_load_schema_roundtrip(db):
     schema = load_schema(str(db / "schema.json"))
     assert schema.table_names() == ["users", "orders"]
     assert schema.task.target_column == "label"
-    assert [c.kind for c in schema.table("orders")] == [
+    assert [c.kind for c in dict(schema.tables)["orders"]] == [
         "primary_key", "foreign_key", "timestamp", "numerical"]
 
 

@@ -69,7 +69,10 @@ def test_structural_sample_stops_expanding_at_budget(star_graph):
 
 
 def test_structural_sample_unlimited_budget(star_graph):
-    out = structural_sample(star_graph, 0, 100.0, SamplingConfig(), budget=None)
+    # a given budget overrides the config's; the node count never cuts
+    out = structural_sample(star_graph, 0, 100.0,
+                            SamplingConfig(stage1_budget=3, stage2_keep=2),
+                            budget=star_graph.n_nodes)
     assert len(out) == 8
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from relgauss import numcore as nc
 from relgauss import trainer
-from relgauss.encoders import positional_init
 from relgauss.model import AblationFlags, GelModel, ModelConfig, batch_subgraphs
 from relgauss.model import loss as loss_fn
 from relgauss.numcore import Parameter
@@ -185,12 +184,30 @@ def test_train_seed_changes_results(small_setup):
     assert a.records != b.records
 
 
-def test_best_snapshot_restored_for_test_scoring(small_setup):
+def test_best_snapshot_restored_for_test_scoring(small_setup, monkeypatch):
     schema, tables, graph, splits = small_setup
     model = GelModel(MCFG, schema, tables)
+    scored = []
+    predict = trainer.predict_rows
+
+    def recording(*args, **kwargs):
+        scored.append(predict(*args, **kwargs))
+        return scored[-1]
+
+    monkeypatch.setattr(trainer, "predict_rows", recording)
     res = train(model, graph, schema, tables, splits, TCFG, SCFG)
-    for name, p in model.parameters().items():
-        np.testing.assert_array_equal(p.data, res.best_params[name])
+    monkeypatch.undo()
+    val_scores = scored[:len(res.records)]
+    best = [r["val_metric"] for r in res.records].index(res.best_metric)
+    assert not np.array_equal(val_scores[best], val_scores[-1])  # the restore matters
+    # the best epoch scored its strided val rows from an emptied cache, as
+    # a fresh one is: the restored weights give its scores bit for bit
+    val_sub = list(splits[1])[::TCFG.val_stride]
+    rescored = predict_rows(model, graph, schema, tables, val_sub,
+                            EmbeddingCache(model, graph, tables), SCFG, AblationFlags(),
+                            TCFG.rng_seed, micro_batch=TCFG.micro_batch)
+    np.testing.assert_array_equal(rescored, val_scores[best])
+    assert trainer.task_metric(schema, tables, val_sub, rescored)[1] == res.best_metric
 
 
 def test_non_finite_loss_raises_numeric_abort(small_setup):
@@ -208,7 +225,6 @@ def test_predict_rows_matches_test_scores(small_setup):
     embed = EmbeddingCache(model, graph, tables)
     rescored = predict_rows(model, graph, schema, tables, splits[2], embed,
                             SCFG, AblationFlags(), TCFG.rng_seed,
-                            np.random.default_rng([TCFG.rng_seed, 0, 2]),
                             micro_batch=TCFG.micro_batch)
     np.testing.assert_array_equal(rescored, res.test_scores)
 
@@ -249,7 +265,8 @@ def test_per_chunk_backward_matches_one_backward_of_the_summed_loss(small_setup)
     targets = trainer._target_values(schema, tables)
     rows = [int(r) for r in splits[0][:9]]
     chunks = [rows[:4], rows[4:6], rows[6:]]  # unequal sizes
-    subs = [[trainer.sample_row(graph, schema, tables, r, embed, SCFG, AblationFlags())
+    subs = [[trainer.sample_row(graph, schema, tables, r, embed, SCFG, AblationFlags(),
+                                (TCFG.rng_seed, 1))
              for r in chunk] for chunk in chunks]
 
     def chunk_losses(seed):
@@ -289,22 +306,77 @@ def test_micro_batch_changes_speed_only(small_setup):
                 assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(x))), (m, key)
 
 
-def test_sampling_stream_is_not_a_positional_feature_stream(small_setup, monkeypatch):
-    """Epoch 1's stage-1 sampling stream at seed 0 is not the generator of
-    node 1's positional features."""
+NO_STRUCTURAL = AblationFlags(no_structural_sampling=True)
+
+
+def spy_on_stage1_streams(monkeypatch, graph):
+    """Record, per call of ``trainer.sample``, the seed's target-table row
+    and an untouched copy of the generator it was handed."""
     streams = []
-    sample_row = trainer.sample_row
 
-    def spy(*args):
-        if not streams:
-            streams.append(copy.deepcopy(args[-1]))
-        return sample_row(*args)
+    def spy(graph_, seed, *args, random_stage1_rng=None, **kwargs):
+        streams.append((int(graph.node_row[seed]), copy.deepcopy(random_stage1_rng)))
+        return sample(graph_, seed, *args, random_stage1_rng=random_stage1_rng, **kwargs)
 
-    monkeypatch.setattr(trainer, "sample_row", spy)
-    run_once(small_setup, epochs=1, max_steps_per_epoch=1)
-    k = MCFG.pe_dim
-    assert not np.array_equal(streams[0].standard_normal(k),
-                              positional_init(0, np.array([1]), k)[0])
+    monkeypatch.setattr(trainer, "sample", spy)
+    return streams
+
+
+def test_stage1_stream_is_keyed_by_seed_epoch_and_row(small_setup, monkeypatch):
+    """A training example's stage-1 generator is its own keyed stream, and
+    not the dropout stream of the same example."""
+    schema, tables, graph, splits = small_setup
+    streams = spy_on_stage1_streams(monkeypatch, graph)
+    cfg = TrainConfig(**{**TCFG.__dict__, "epochs": 1, "max_steps_per_epoch": 1,
+                         "rng_seed": 5})
+    train(GelModel(MCFG, schema, tables), graph, schema, tables, splits, cfg, SCFG,
+          NO_STRUCTURAL)
+    row, rng = streams[0]
+    assert row in splits[0]
+    drawn = rng.random(8)
+    np.testing.assert_array_equal(drawn, np.random.default_rng([5, 1, row, 3]).random(8))
+    assert not np.array_equal(drawn, np.random.default_rng([5, 1, row, 1]).random(8))
+
+
+def test_predict_rows_hands_the_ablation_a_generator(small_setup, monkeypatch):
+    schema, tables, graph, splits = small_setup
+    model = GelModel(MCFG, schema, tables)
+    streams = spy_on_stage1_streams(monkeypatch, graph)
+    rows = list(splits[2][:3])
+    predict_rows(model, graph, schema, tables, rows, EmbeddingCache(model, graph, tables),
+                 SCFG, NO_STRUCTURAL, 0, micro_batch=2)
+    assert [row for row, _ in streams] == rows
+    # eval draws from epoch 0, which no training epoch is
+    for row, rng in streams:
+        assert rng is not None
+        np.testing.assert_array_equal(rng.random(4),
+                                      np.random.default_rng([0, 0, row, 3]).random(4))
+
+
+def test_ablated_scores_do_not_depend_on_row_order(small_setup):
+    """Each row draws its random stage-1 subgraph from its own generator,
+    so no row's score follows the rows scored before it."""
+    schema, tables, graph, splits = small_setup
+    model = GelModel(MCFG, schema, tables)
+    rows = [int(r) for r in splits[2]]
+
+    def scores(order, micro_batch, ablation=NO_STRUCTURAL):
+        embed = EmbeddingCache(model, graph, tables)
+        out = predict_rows(model, graph, schema, tables, order, embed, SCFG, ablation,
+                           0, micro_batch=micro_batch)
+        return dict(zip(order, out))
+
+    ref = scores(rows, TCFG.micro_batch)
+    reverse = scores(rows[::-1], TCFG.micro_batch)
+    alone = {}
+    for r in rows:
+        alone.update(scores([r], 1))
+    for other in (reverse, alone):
+        for r in rows:
+            assert abs(other[r] - ref[r]) <= 1e-12, r
+    # the draw is not the BFS cut
+    full = scores(rows, TCFG.micro_batch, AblationFlags())
+    assert any(abs(full[r] - ref[r]) > 1e-6 for r in rows)
 
 
 def test_training_step_holds_one_micro_batch_tape(small_setup):
