@@ -75,9 +75,7 @@ def pairwise_delta_days(delta_t_seconds: np.ndarray) -> np.ndarray:
 class AttentionLayer(Module):
     def __init__(self, name: str, d: int, n_heads: int, rng: np.random.Generator,
                  dropout_rate: float = 0.3):
-        self.d = d
         self.n_heads = n_heads
-        self.head_dim = d // n_heads
         self.dropout_rate = dropout_rate
         self.W_Q = Parameter(rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)), f"{name}.W_Q")
         self.W_K = Parameter(rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)), f"{name}.W_K")
@@ -97,30 +95,17 @@ class AttentionLayer(Module):
         (B, n_max, n_max) array per head. Dropout on the weights runs only
         when the batch carries generators.
         """
-        n_rows = H.shape[0]
-        pad = batch.padded
-
-        def heads(W: Parameter, axes: tuple[int, ...]) -> Tensor:
-            X = nc.linear(H, W).reshape(n_rows, self.n_heads, self.head_dim)
-            return batch.pad(X).transpose(*axes)
-
-        Q = heads(self.W_Q, (0, 2, 1, 3))    # (B, heads, n_max, head_dim)
-        K_t = heads(self.W_K, (0, 2, 3, 1))  # (B, heads, head_dim, n_max)
-        V = heads(self.W_V, (0, 2, 1, 3))
-        scores = nc.bmm(Q, K_t) * (1.0 / math.sqrt(self.head_dim))
-        if use_bias:
+        B, n_max = batch.index.shape
+        out, alpha = nc.attention_block(
+            H, self.W_Q, self.W_K, self.W_V,
             # one |dt_i - dt_j| matrix per subgraph, shared by all heads
-            scores = scores + self.bias(batch.delta_days)
-        if pad.any():
+            self.bias(batch.delta_days) if use_bias else None,
+            heads=self.n_heads, slot=batch.slot,
             # padded keys get no weight, and padded query rows are dropped on
             # the way back, so padding passes no gradient to any parameter
-            scores = scores + Tensor(np.where(pad, MASK_NEG, 0.0)[:, None, None, :])
-        alpha = nc.softmax_rows(scores)
+            key_mask=np.where(batch.padded, MASK_NEG, 0.0),
+            mask=batch.dropout_mask((B, self.n_heads, n_max, n_max), self.dropout_rate))
+        out = self.out(out)
         if return_weights:
-            weights = [alpha.data[:, h].copy() for h in range(self.n_heads)]
-        alpha = batch.dropout(alpha, self.dropout_rate)
-        Y = nc.bmm(alpha, V).transpose(0, 2, 1, 3)  # (B, n_max, heads, head_dim)
-        out = self.out(batch.unpad(Y).reshape(n_rows, self.d))
-        if return_weights:
-            return out, weights
+            return out, [alpha[:, h].copy() for h in range(self.n_heads)]
         return out

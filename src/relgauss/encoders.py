@@ -57,7 +57,8 @@ class ResidualBlock(Module):
         self.a2 = Affine(f"{name}.a2", d, d, rng)
 
     def __call__(self, h: Tensor, x: Tensor | None = None) -> Tensor:
-        return h + self.a2(nc.gelu(self.norm(self.a1(h if x is None else x))))
+        return nc.residual_mlp(h, [(h if x is None else x, self.a1.W)], self.norm.gain,
+                               self.norm.shift, self.a1.b, self.a2.W, self.a2.b)
 
 
 class Embedding(Module):

@@ -34,9 +34,9 @@ class SageLayer(Module):
 
     def __call__(self, H: Tensor, batch: BatchedSubgraphs) -> Tensor:
         neigh_mean = batch.propagate(batch.mean_adjacency, H)
-        z = nc.linear(H, self.W_self) + nc.linear(neigh_mean, self.W_neigh)
-        z = nc.gelu(self.norm(z))
-        return H + batch.dropout(z, self.dropout_rate)
+        return nc.residual_mlp(H, [(H, self.W_self), (neigh_mean, self.W_neigh)],
+                               self.norm.gain, self.norm.shift,
+                               mask=batch.dropout_mask(H.shape, self.dropout_rate))
 
 
 class GnnBranch(Module):

@@ -184,18 +184,19 @@ class BatchedSubgraphs:
         """Row i of subgraph b gets sum_j A[b, i, j] X_j over its own rows."""
         return self.unpad(nc.bmm(Tensor(A), self.pad(X)))
 
-    def dropout(self, X: Tensor, rate: float) -> Tensor:
-        """Inverted-scaling dropout, the identity in eval or at rate 0. Each
-        subgraph draws its own cells' mask from its own generator: an (n_b, d)
-        block of stacked rows (rows, d), or a (heads, n_b, n_b) block of padded
-        pairs (B, heads, n_max, n_max), whose padding is zeroed."""
+    def dropout_mask(self, shape: tuple[int, ...], rate: float) -> np.ndarray | None:
+        """Inverted-scaling dropout multiplier of an array of ``shape``: None
+        in eval or at rate 0. Each subgraph draws its own cells' mask from its
+        own generator: an (n_b, d) block of stacked rows (rows, d), or a
+        (heads, n_b, n_b) block of padded pairs (B, heads, n_max, n_max),
+        whose padding is zeroed."""
         if self.rngs is None or rate <= 0.0:
-            return X
-        keep = np.zeros(X.shape, dtype=bool)
+            return None
+        keep = np.zeros(shape, dtype=bool)
         for b, (rng, n) in enumerate(zip(self.rngs, self.sizes, strict=True)):
             cells = keep[self.seed_positions[b]:][:n] if keep.ndim == 2 else keep[b, :, :n, :n]
             cells[...] = rng.random(cells.shape) >= rate
-        return X * Tensor(keep / (1.0 - rate))
+        return keep / (1.0 - rate)
 
 
 def batch_subgraphs(subs: list[SampledSubgraph],

@@ -142,16 +142,6 @@ class Tensor:
 
     # -- shape ops -------------------------------------------------------
 
-    def transpose(self, *axes: int) -> "Tensor":
-        """Permute the axes (numpy ``transpose`` with an explicit order)."""
-        inverse = tuple(np.argsort(axes))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g.transpose(inverse))
-
-        return Tensor._make(self.data.transpose(axes), (self,), backward)
-
     def reshape(self, *shape) -> "Tensor":
         old = self.shape
 
@@ -236,21 +226,28 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 
 def rows(table: Tensor, idx) -> Tensor:
-    """Gather along the leading axis; backward scatters with accumulation.
+    """Gather along the leading axis; backward scatters, adding up the
+    gradients of a repeated index.
 
-    ``idx`` may have any shape: the result has shape
-    ``idx.shape + table.shape[1:]``.
+    ``idx`` may have any shape of non-negative indices: the result has
+    shape ``idx.shape + table.shape[1:]``.
     """
     idx = np.asarray(idx, dtype=np.intp)
 
     def backward(g):
-        if table.requires_grad:
+        if not table.requires_grad:
+            return
+        if np.bincount(idx.ravel()).max(initial=0) <= 1:
+            acc = np.zeros(table.shape)
+            acc[idx] = g
+        else:
             # bincount adds repeated indices in order, as np.add.at does,
             # at a fraction of its cost
             width = math.prod(table.shape[1:])
             flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-            acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
-            table._accum(acc.reshape(table.shape))
+            acc = np.bincount(flat, weights=g.ravel(),
+                              minlength=table.data.size).reshape(table.shape)
+        table._accum(acc)
 
     return Tensor._make(table.data[idx], (table,), backward)
 
@@ -267,21 +264,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 t._accum(piece)
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction for overflow safety."""
-    x = Tensor._coerce(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            x._accum(out_data * (g - dot))
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -372,6 +354,150 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     if b is None:
         return Tensor._make(x.data @ W.data.T, (x, W), backward)
     return Tensor._make(x.data @ W.data.T + b.data, (x, W, b), backward)
+
+
+def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor,
+                 shift: Tensor, b1: Tensor | None = None, W2: Tensor | None = None,
+                 b2: Tensor | None = None, mask: np.ndarray | None = None) -> Tensor:
+    """h + a2(mask * GELU(LayerNorm(sum_i x_i @ W_i.T + b1))) as one tape node.
+
+    ``terms`` are the (x, W) pairs of rows (n, d_in) and weights (d, d_in),
+    summed in order. Without ``b1`` the sum has no bias, without ``W2`` there
+    is no a2 (``b2`` is its bias) and without ``mask`` (an (n, d) multiplier,
+    e.g. a dropout mask) no product. Every sum is taken in the order of the
+    ops it replaces (``linear``, ``layer_norm``, ``gelu``, ``*``, ``+``), so
+    its value and gradients are theirs bit for bit; the backward reuses the
+    forward's normalised activations, 1/sigma and Gaussian CDF.
+    """
+    z = None
+    for x, W in terms:
+        xw = x.data @ W.data.T
+        z = xw if z is None else z + xw
+    if b1 is not None:
+        z = z + b1.data
+    n = z.shape[-1]
+    mu = z.sum(axis=-1, keepdims=True) / n
+    centered = z - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centered * inv
+    y = xhat * gain.data + shift.data
+    phi = 0.5 * (1.0 + erf(y / math.sqrt(2.0)))
+    act = y * phi
+    if mask is not None:
+        act = act * mask
+    out = act
+    if W2 is not None:
+        out = act @ W2.data.T
+        if b2 is not None:
+            out = out + b2.data
+
+    def backward(g):
+        if h.requires_grad:
+            h._accum(g)
+        gact = g
+        if W2 is not None:
+            gact = g @ W2.data
+            if W2.requires_grad:
+                W2._accum(g.T @ act)
+            if b2 is not None and b2.requires_grad:
+                b2._accum(g.sum(axis=0))
+        if mask is not None:
+            gact = gact * mask
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * y**2)
+        gy = gact * (phi + y * pdf)
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(gy * xhat, gain.shape))
+        if shift.requires_grad:
+            shift._accum(_unbroadcast(gy, shift.shape))
+        gq = gy * gain.data
+        m1 = gq.sum(axis=-1, keepdims=True) / n
+        m2 = (gq * xhat).sum(axis=-1, keepdims=True) / n
+        gz = inv * (gq - m1 - xhat * m2)
+        for x, W in terms:
+            if x.requires_grad:
+                x._accum(gz @ W.data)
+            if W.requires_grad:
+                W._accum(gz.T @ x.data)
+        if b1 is not None and b1.requires_grad:
+            b1._accum(gz.sum(axis=0))
+
+    parents = [h, gain, shift, *(t for term in terms for t in term)]
+    parents += [t for t in (b1, W2, b2) if t is not None]
+    return Tensor._make(h.data + out, parents, backward)
+
+
+def attention_block(H: Tensor, W_Q: Tensor, W_K: Tensor, W_V: Tensor,
+                    bias: Tensor | None, *, heads: int, slot: np.ndarray,
+                    key_mask: np.ndarray, mask: np.ndarray | None = None,
+                    ) -> tuple[Tensor, np.ndarray]:
+    """Multi-head self-attention of rows within padded groups, as one tape node.
+
+    The rows of ``H`` (n, d) sit in a (B, n_max) stack of slots: row i in
+    flat slot ``slot[i]``; a slot without a row holds zeros. ``key_mask``
+    (B, n_max) is each key slot's additive score (0, or a large negative
+    number at a padded slot, so that it gets no weight). The projections
+    ``H @ W.T`` of W_Q, W_K and W_V are split into ``heads`` and placed in
+    the stack; the scores ``Q K^T / sqrt(d / heads)`` get ``bias`` (a
+    (B, heads, n_max, n_max) Tensor, or None) and the key mask, go through
+    a softmax over the keys and the (B, heads, n_max, n_max) multiplier
+    ``mask`` (e.g. a dropout mask), and weight V. Each row's output is read
+    back from its slot, so a padded slot passes no gradient.
+
+    Returns the (n, d) output and the softmax weights, before ``mask``.
+    Every sum is taken in the order of the unfused ops (``linear``, a gather
+    into the stack, ``bmm``, a row softmax), so the outputs and gradients
+    are theirs bit for bit; the gradients reach ``H`` in Q, K, V order.
+    """
+    n_rows, d = H.shape
+    B, n_max = key_mask.shape
+    head_dim = d // heads
+
+    def stack(W: Tensor) -> np.ndarray:
+        """(B, n_max, heads, head_dim) stack of the rows' projections."""
+        X = np.zeros((B * n_max, heads, head_dim))
+        X[slot] = (H.data @ W.data.T).reshape(n_rows, heads, head_dim)
+        return X.reshape(B, n_max, heads, head_dim)
+
+    Q = stack(W_Q).transpose(0, 2, 1, 3)    # (B, heads, n_max, head_dim)
+    K_t = stack(W_K).transpose(0, 2, 3, 1)  # (B, heads, head_dim, n_max)
+    V = stack(W_V).transpose(0, 2, 1, 3)
+    scale = 1.0 / math.sqrt(head_dim)
+    scores = np.matmul(Q, K_t) * scale
+    if bias is not None:
+        scores = scores + bias.data
+    if key_mask.any():
+        scores = scores + key_mask[:, None, None, :]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    weights = alpha if mask is None else alpha * mask
+    Y = np.matmul(weights, V)
+    out = Y.transpose(0, 2, 1, 3).reshape(B * n_max, d)[slot]
+
+    def backward(g):
+        gY = np.zeros((B * n_max, d))
+        gY[slot] = g
+        gY = gY.reshape(B, n_max, heads, head_dim).transpose(0, 2, 1, 3)
+        g_weights = gY @ np.swapaxes(V, -1, -2)
+        gV = np.swapaxes(weights, -1, -2) @ gY
+        g_alpha = g_weights if mask is None else g_weights * mask
+        dot = (g_alpha * alpha).sum(axis=-1, keepdims=True)
+        g_scores = alpha * (g_alpha - dot)
+        if bias is not None and bias.requires_grad:
+            bias._accum(g_scores)
+        g_scaled = g_scores * scale
+        gQ = g_scaled @ np.swapaxes(K_t, -1, -2)
+        gK_t = np.swapaxes(Q, -1, -2) @ g_scaled
+        for W, gX in ((W_Q, gQ.transpose(0, 2, 1, 3)), (W_K, gK_t.transpose(0, 3, 1, 2)),
+                      (W_V, gV.transpose(0, 2, 1, 3))):
+            g_rows = gX.reshape(B * n_max, d)[slot]
+            if H.requires_grad:
+                H._accum(g_rows @ W.data)
+            if W.requires_grad:
+                W._accum(g_rows.T @ H.data)
+
+    parents = (H, W_Q, W_K, W_V) + ((bias,) if bias is not None else ())
+    return Tensor._make(out, parents, backward), alpha
 
 
 def gaussian_bias(delta_days: np.ndarray, mu: Tensor, rho: Tensor,

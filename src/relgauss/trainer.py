@@ -313,6 +313,10 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                 scores = model.forward_batch(batch_subgraphs(subs, rngs), tables,
                                              graph, run_seed=config.rng_seed,
                                              ablation=ablation)
+                # a non-finite score gives a non-finite loss: stop before the
+                # loss computes it (and numpy warns about it)
+                if not np.isfinite(scores.data).all():
+                    raise NumericAbort(f"non-finite loss at epoch {epoch} step {step}")
                 item = loss_fn(scores, targets[chunk], task_kind).sum()
                 total = item.data if total is None else total + item.data
                 if not np.isfinite(total):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _make_batch
 from relgauss import numcore as nc
 from relgauss.attention import (INVALID_DELTA_DAYS, AttentionLayer,
                                 GaussianBiasParams, inverse_softplus,
@@ -113,6 +114,35 @@ def test_attention_rows_sum_to_one(layer, make_batch):
         assert alpha.shape == (1, 5, 5)
         np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(alpha >= 0)
+
+
+def test_attend_weights_sum_to_one_and_shift_invariant(layer, make_batch):
+    rng = np.random.default_rng(2)
+    H = Tensor(rng.normal(size=(5, 8)))
+    layer.W_Q.data *= 50.0  # content scores in the tens
+    batch = make_batch(delta_ts=[rng.uniform(0, 10 * 86400, size=5)])
+    with nc.no_grad():
+        _, weights = layer.attend(H, batch, return_weights=True)
+        layer.bias.proj_shift.data[:] = 123.0  # adds 123 to every score
+        _, shifted = layer.attend(H, batch, return_weights=True)
+    for alpha, moved in zip(weights, shifted, strict=True):
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(alpha, moved, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-10, 10), min_size=2, max_size=6))
+def test_attend_weights_always_normalized(vals):
+    """Every query's content score on key j is vals[j] / sqrt(2)."""
+    layer = AttentionLayer("L", d=2, n_heads=1, rng=np.random.default_rng(0),
+                           dropout_rate=0.0)
+    layer.W_Q.data[:] = [[0.0, 1.0], [0.0, 0.0]]  # every query is (1, 0)
+    layer.W_K.data[:] = [[1.0, 0.0], [0.0, 0.0]]  # key j is (vals[j], 0)
+    H = Tensor(np.column_stack([vals, np.ones(len(vals))]))
+    with nc.no_grad():
+        _, (alpha,) = layer.attend(H, _make_batch(delta_ts=[np.zeros(len(vals))]),
+                                   return_weights=True)
+    assert np.all(np.abs(alpha.sum(axis=-1) - 1.0) < 1e-9)
 
 
 def test_zero_bias_params_equal_vanilla_attention(layer, make_batch):

@@ -145,17 +145,18 @@ def test_batch_subgraphs_layout(tiny_db):
 
 
 def test_dropout_inverted_scaling_and_eval_identity(make_batch):
-    rows = Tensor(np.ones((100, 10)))
-    pairs = Tensor(np.ones((1, 2, 100, 100)))
+    shapes = [(100, 10), (1, 2, 100, 100)]  # stacked rows, padded pairs
     training = make_batch(delta_ts=[np.zeros(100)], rngs=[np.random.default_rng(8)])
-    for out in (training.dropout(rows, 0.4), training.dropout(pairs, 0.4)):
-        kept = out.data[out.data != 0]
+    for shape in shapes:
+        mask = training.dropout_mask(shape, 0.4)
+        assert mask.shape == shape
+        kept = mask[mask != 0]
+        assert 0 < kept.size < mask.size
         np.testing.assert_allclose(kept, 1.0 / 0.6)
     evaluating = make_batch(delta_ts=[np.zeros(100)])
-    assert evaluating.dropout(rows, 0.4) is rows
-    assert evaluating.dropout(pairs, 0.4) is pairs
-    assert training.dropout(rows, 0.0) is rows
-    assert training.dropout(pairs, 0.0) is pairs
+    for shape in shapes:
+        assert evaluating.dropout_mask(shape, 0.4) is None
+        assert training.dropout_mask(shape, 0.0) is None
 
 
 def test_a_subgraphs_masks_do_not_depend_on_its_batch(make_batch):
@@ -171,11 +172,11 @@ def test_a_subgraphs_masks_do_not_depend_on_its_batch(make_batch):
         n_max = max(sizes)
         out = []
         for _ in range(2):
-            dropped = batch.dropout(Tensor(np.ones((len(sizes), heads, n_max, n_max))), 0.5)
+            pairs = batch.dropout_mask((len(sizes), heads, n_max, n_max), 0.5)
             # a padded cell of the subgraph is zeroed
-            assert not dropped.data[at, :, 3:].any() and not dropped.data[at, ..., 3:].any()
-            out.append(dropped.data[at, :, :3, :3])
-            out.append(batch.dropout(Tensor(np.ones((sum(sizes), d))), 0.5).data[rows])
+            assert not pairs[at, :, 3:].any() and not pairs[at, ..., 3:].any()
+            out.append(pairs[at, :, :3, :3])
+            out.append(batch.dropout_mask((sum(sizes), d), 0.5)[rows])
         return out
 
     alone = masks([3], 0)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from scipy.special import expit
 
 from conftest import finite_diff_grad
 from relgauss import numcore as nc
+from relgauss.attention import MASK_NEG
 from relgauss.numcore import Module, Parameter, Tensor
 
 
@@ -62,13 +64,13 @@ def test_matmul_gradient():
     finite_check(lambda: square_sum(nc.linear(a, b)), [a, b])
 
 
-def test_bmm_and_transpose_gradients():
+def test_bmm_gradients():
     rng = np.random.default_rng(1)
-    a = Parameter(rng.normal(size=(2, 3, 4, 5)), "a")
+    a = Parameter(rng.normal(size=(2, 3, 5, 4)), "a")
     b = Parameter(rng.normal(size=(3, 4, 2)), "b")  # broadcast over axis 0
-    finite_check(lambda: square_sum(nc.bmm(a.transpose(0, 1, 3, 2), b)), [a, b])
+    finite_check(lambda: square_sum(nc.bmm(a, b)), [a, b])
     with pytest.raises(ValueError, match="bmm shape mismatch"):
-        nc.bmm(a, b)
+        nc.bmm(b, a)
 
 
 def test_gaussian_bias_all_heads_values_and_gradient():
@@ -137,6 +139,18 @@ def test_rows_gather_and_scatter():
     np.testing.assert_array_equal(table.grad[0], [0.0, 0.0, 0.0])
 
 
+def test_rows_scatter_of_a_unique_index_is_the_accumulating_one():
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(2, 3, 4))
+    unique = np.array([[4, 0, 2], [5, 1, 3]])
+    for idx in (unique, np.array([[4, 0, 2], [4, 1, 3]])):
+        table = Parameter(rng.normal(size=(6, 4)), "t")
+        nc.backward((nc.rows(table, idx) * Tensor(g)).sum())
+        expect = np.zeros((6, 4))
+        np.add.at(expect, idx, g)
+        np.testing.assert_array_equal(table.grad, expect)
+
+
 def test_concat_splits_gradient():
     a = Parameter(np.ones((2, 2)), "a")
     b = Parameter(np.ones((2, 3)), "b")
@@ -147,20 +161,22 @@ def test_concat_splits_gradient():
     np.testing.assert_array_equal(b.grad, [[2, 3, 4], [2, 3, 4]])
 
 
-def test_softmax_rows_sum_to_one_and_shift_invariant():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(5, 7)) * 50
-    out = nc.softmax_rows(Tensor(x))
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-12)
-    shifted = nc.softmax_rows(Tensor(x + 123.0))
-    np.testing.assert_allclose(out.data, shifted.data, atol=1e-12)
+def softmax_of(logits: Tensor) -> Tensor:
+    """Row softmax of an (n, n) matrix of logits, through ``attention_block``:
+    one head whose content scores are 0 and whose values are the identity,
+    so its output is the weights, with ``logits`` as the bias."""
+    n = logits.shape[-1]
+    zero, eye = Tensor(np.zeros((n, n))), Tensor(np.eye(n))
+    out, _ = nc.attention_block(eye, zero, zero, eye, logits.reshape(1, 1, n, n), heads=1,
+                                slot=np.arange(n), key_mask=np.zeros((1, n)))
+    return out
 
 
 def test_softmax_gradient():
     rng = np.random.default_rng(3)
-    x = Parameter(rng.normal(size=(2, 5)), "x")
-    w = rng.normal(size=(2, 5))
-    finite_check(lambda: (nc.softmax_rows(x) * w).sum(), [x])
+    x = Parameter(rng.normal(size=(5, 5)), "x")
+    w = rng.normal(size=(5, 5))
+    finite_check(lambda: (softmax_of(x) * w).sum(), [x])
 
 
 @pytest.mark.parametrize("op", [nc.sigmoid, nc.softplus, nc.gelu])
@@ -234,8 +250,8 @@ def test_linear_matches_manual_and_gradient():
 
 def test_softmax_cross_entropy_toy_matches_finite_differences():
     rng = np.random.default_rng(7)
-    logits = Parameter(rng.normal(size=(4, 3)), "logits")
-    onehot = np.eye(3)[[0, 2, 1, 1]]
+    logits = Parameter(rng.normal(size=(4, 4)), "logits")
+    onehot = np.eye(4)[[0, 2, 1, 3]]
 
     def cross_entropy(z):
         shifted = z - z.max(axis=1, keepdims=True)
@@ -243,12 +259,142 @@ def test_softmax_cross_entropy_toy_matches_finite_differences():
         return float(-(logp * onehot).sum())
 
     # dCE/dp = -y/p, chained through the softmax's backward rule
-    p = nc.softmax_rows(logits)
+    p = softmax_of(logits)
     nc.zero_grad([logits])
     nc.backward((p * Tensor(-onehot / p.data)).sum())
     numeric = finite_diff_grad(cross_entropy, logits.data.copy())
     np.testing.assert_allclose(logits.grad, numeric, atol=1e-8)
     np.testing.assert_allclose(logits.grad, p.data - onehot, atol=1e-12)
+
+
+def unfused_residual_mlp(h, terms, gain, shift, b1=None, W2=None, b2=None, mask=None):
+    """The composition of ops that ``residual_mlp`` fuses."""
+    z = None
+    for x, W in terms:
+        xw = nc.linear(x, W)
+        z = xw if z is None else z + xw
+    if b1 is not None:
+        z = z + b1
+    act = nc.gelu(nc.layer_norm(z, gain, shift))
+    if mask is not None:
+        act = act * Tensor(mask)
+    if W2 is not None:
+        act = nc.linear(act, W2, b2)
+    return h + act
+
+
+@pytest.mark.parametrize("b1, a2, masked, h_is_x", [
+    (True, True, False, True),     # a residual block
+    (True, True, False, False),    # a positional GIN block
+    (False, False, True, True),    # a GraphSAGE layer (plus its neighbour term)
+    (False, True, True, False),
+], ids=["block", "block-x", "sage", "a2-mask"])
+def test_residual_mlp_is_bitwise_its_composition_with_exact_gradients(b1, a2, masked, h_is_x):
+    rng = np.random.default_rng(13)
+    n, d = 5, 4
+    params = []
+
+    def param(name, *shape):
+        params.append(Parameter(rng.normal(size=shape), name))
+        return params[-1]
+
+    h = param("h", n, d)
+    terms = [(h if h_is_x else param("x", n, d), param("W1", d, d))]
+    if not b1:  # the GraphSAGE form: a second, neighbour term
+        terms.append((param("m", n, d), param("Wn", d, d)))
+    gain, shift = param("gain", d), param("shift", d)
+    kw = {"b1": param("b1", d) if b1 else None}
+    if a2:
+        kw.update(W2=param("W2", d, d), b2=param("b2", d))
+    if masked:
+        kw["mask"] = (rng.random((n, d)) >= 0.3) / 0.7
+    weights = rng.normal(size=(n, d))
+
+    def loss(op):
+        return (op(h, terms, gain, shift, **kw) * Tensor(weights)).sum()
+
+    fused, unfused = loss(nc.residual_mlp), loss(unfused_residual_mlp)
+    np.testing.assert_array_equal(fused.data, unfused.data)
+    grads = {}
+    for out in (unfused, fused):
+        nc.zero_grad(params)
+        nc.backward(out)
+        grads[out is fused] = [p.grad.copy() for p in params]
+    for p, a, b in zip(params, grads[True], grads[False]):
+        np.testing.assert_array_equal(a, b, err_msg=p.name)
+    finite_check(lambda: loss(nc.residual_mlp), params)
+
+
+def padded_layout(sizes):
+    """(index, slot) of groups of ``sizes`` rows in a (B, max size) stack:
+    each slot's row (-1 for none) and each row's flat slot."""
+    n_max = max(sizes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    slots = np.arange(n_max)
+    index = np.where(slots < np.array(sizes)[:, None], starts[:, None] + slots, -1)
+    return index, np.flatnonzero(index >= 0)
+
+
+def unfused_attention(H, W_Q, W_K, W_V, bias, heads, index, key_mask, mask):
+    """Attention as linear, gather into the stack, transpose, bmm, scale, bias,
+    key mask, row softmax, mask, bmm and the gather back, in plain numpy; a
+    padded slot holds row 0."""
+    n, d = H.shape
+    head_dim = d // heads
+    gather = np.where(index < 0, 0, index)
+
+    def stack(W, axes):
+        return (H @ W.T).reshape(n, heads, head_dim)[gather].transpose(axes)
+
+    Q, K_t, V = stack(W_Q, (0, 2, 1, 3)), stack(W_K, (0, 2, 3, 1)), stack(W_V, (0, 2, 1, 3))
+    scores = np.matmul(Q, K_t) * (1.0 / math.sqrt(head_dim))
+    if bias is not None:
+        scores = scores + bias
+    if key_mask.any():
+        scores = scores + key_mask[:, None, None, :]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    Y = np.matmul(alpha if mask is None else alpha * mask, V).transpose(0, 2, 1, 3)
+    return Y.reshape(-1, heads, head_dim)[np.flatnonzero(index >= 0)].reshape(n, d), alpha
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (3, 3)], ids=["padded", "unpadded"])
+@pytest.mark.parametrize("biased", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("dropout", [True, False], ids=["dropout", "no-dropout"])
+def test_attention_block_is_bitwise_its_composition_with_exact_gradients(sizes, biased,
+                                                                         dropout):
+    rng = np.random.default_rng(14)
+    d, heads = 4, 2
+    index, slot = padded_layout(sizes)
+    B, n_max = index.shape
+    H = Parameter(rng.normal(size=(sum(sizes), d)), "H")
+    W_Q, W_K, W_V = (Parameter(rng.normal(size=(d, d)), name) for name in ("Q", "K", "V"))
+    bias = Parameter(rng.normal(size=(B, heads, n_max, n_max)), "bias") if biased else None
+    real = index >= 0
+    real_pairs = real[:, None, :, None] & real[:, None, None, :]
+    key_mask = np.where(real, 0.0, MASK_NEG)
+    mask = None
+    if dropout:  # a dropout mask, zero at the padding
+        mask = (rng.random((B, heads, n_max, n_max)) >= 0.3) * real_pairs / 0.7
+    weights = rng.normal(size=(sum(sizes), d))
+
+    def block():
+        return nc.attention_block(H, W_Q, W_K, W_V, bias, heads=heads, slot=slot,
+                                  key_mask=key_mask, mask=mask)
+
+    out, alpha = block()
+    expect, expect_alpha = unfused_attention(H.data, W_Q.data, W_K.data, W_V.data,
+                                             None if bias is None else bias.data,
+                                             heads, index, key_mask, mask)
+    np.testing.assert_array_equal(out.data, expect)
+    # a padded query row's weights are not read; a padded key gets none
+    by_query = (0, 2, 1, 3)
+    np.testing.assert_array_equal(alpha.transpose(by_query)[real],
+                                  expect_alpha.transpose(by_query)[real])
+    np.testing.assert_array_equal(np.where(real_pairs, 0.0, alpha).transpose(by_query)[real],
+                                  0.0)
+    params = [H, W_Q, W_K, W_V] + ([bias] if biased else [])
+    finite_check(lambda: (block()[0] * Tensor(weights)).sum(), params)
 
 
 def test_leaf_gradients_accumulate_across_backward_calls():
@@ -283,10 +429,10 @@ def test_no_grad_suppresses_graph():
     assert y2.requires_grad
 
 
-def test_reshape_and_transpose_gradients():
+def test_reshape_gradients():
     rng = np.random.default_rng(9)
     x = Parameter(rng.normal(size=(2, 6)), "x")
-    finite_check(lambda: square_sum(x.reshape(3, 4).transpose(1, 0)), [x])
+    finite_check(lambda: (x.reshape(3, 4) * np.arange(4.0)).sum(), [x])
 
 
 def test_sum_axis_keepdims():
@@ -295,13 +441,6 @@ def test_sum_axis_keepdims():
     assert out.shape == (2, 1)
     nc.backward((out * np.array([[2.0], [3.0]])).sum())
     np.testing.assert_array_equal(x.grad, [[2, 2, 2], [3, 3, 3]])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=2, max_size=6))
-def test_softmax_rows_always_normalized(vals):
-    out = nc.softmax_rows(Tensor(np.array([vals])))
-    assert abs(out.data.sum() - 1.0) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)

@@ -210,6 +210,7 @@ def test_best_snapshot_restored_for_test_scoring(small_setup, monkeypatch):
     assert trainer.task_metric(schema, tables, val_sub, rescored)[1] == res.best_metric
 
 
+@pytest.mark.filterwarnings("error")  # the abort comes before any numpy warning
 def test_non_finite_loss_raises_numeric_abort(small_setup):
     schema, tables, graph, splits = small_setup
     model = GelModel(MCFG, schema, tables)
@@ -290,6 +291,33 @@ def test_per_chunk_backward_matches_one_backward_of_the_summed_loss(small_setup)
     assert any(np.any(g != 0) for g in per_chunk.values())
     for name, p in params.items():
         assert np.array_equal(p.grad, per_chunk[name]), name
+
+
+def tape_nodes(loss) -> int:
+    """The interior nodes of the tape under ``loss``, each counted once."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and not node.is_leaf:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_a_train_bench_micro_batch_builds_at_most_100_tape_nodes(small_setup):
+    """The perfbench train-bench model and sampling configs, 8 examples."""
+    schema, tables, graph, splits = small_setup
+    model = GelModel(ModelConfig(d=64, n_layers=2, n_heads=4, pe_dim=16), schema, tables)
+    samp = SamplingConfig(stage1_budget=32, stage2_keep=20)
+    embed = EmbeddingCache(model, graph, tables)
+    rows = [int(r) for r in splits[0][:8]]
+    subs = [trainer.sample_row(graph, schema, tables, r, embed, samp, AblationFlags(),
+                               (0, 1)) for r in rows]
+    rngs = [np.random.default_rng([0, 1, r, 1]) for r in rows]
+    scores = model.forward_batch(batch_subgraphs(subs, rngs), tables, graph)
+    loss = loss_fn(scores, trainer._target_values(schema, tables)[rows],
+                   schema.task.kind).sum()
+    assert tape_nodes(loss) <= 100
 
 
 def test_micro_batch_changes_speed_only(small_setup):
