@@ -33,7 +33,7 @@ from .relstore import (SchemaError, TableDataError, build_graph, load_schema,
 from .sampler import SamplingConfig, subgraph_to_dict
 from .synthgen import SynthConfig, temporal_split, write_db
 from .trainer import (EmbeddingCache, MetricError, NumericAbort, TrainConfig,
-                      run_ablation_sweep, sample_row, score_test, train,
+                      run_ablation_sweep, sample_rows, score_test, train,
                       write_metrics_jsonl)
 
 EXIT_OK = 0
@@ -182,9 +182,9 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"row {args.row} out of range [0, {n_rows})")
     # semantic refinement ranks by the tabular embeddings of this model
     embed = EmbeddingCache(GelModel(model_cfg, schema, tables), graph, tables)
-    sub = sample_row(graph, schema, tables, args.row, embed, samp_cfg,
-                     AblationFlags(no_semantic_refinement=args.no_semantic_refinement),
-                     (train_cfg.rng_seed, 0))
+    [sub] = sample_rows(graph, schema, tables, [args.row], embed, samp_cfg,
+                        AblationFlags(no_semantic_refinement=args.no_semantic_refinement),
+                        (train_cfg.rng_seed, 0))
     payload = json.dumps(subgraph_to_dict(sub))
     if args.out:
         with _writing(args.out), open(args.out, "w") as fh:

@@ -261,12 +261,24 @@ class EncoderSuite(Module):
         self.mixer = FeatureMixer(d, config.pe_dim, rng)
 
     def encode_subgraph(self, sub: BatchedSubgraphs, graph: RelGraph,
-                        tables: TableData, run_seed: int) -> Tensor:
+                        tables: TableData, run_seed: int, cache=None) -> Tensor:
+        """The (rows, d) mixed node features of the batch.
+
+        ``cache`` maps an int array of nodes to their current tabular
+        embeddings (``node_embedding``'s rows, e.g. a filled
+        ``trainer.EmbeddingCache``); the tabular channel is then read from it
+        instead of encoded again. A cached row carries no gradient, so a
+        cache with gradients on raises ``ValueError``.
+        """
+        if cache is not None and nc.grad_enabled():
+            raise ValueError("a cached tabular channel has no gradient: "
+                             "pass a cache only under no_grad")
         type_ids = graph.node_type[sub.nodes]
         type_e = self.type_enc(type_ids)
         hop_e = self.hop_enc(sub.hop)
         time_e = self.time_enc(sub.delta_t)
-        tab_e = self._encode_tabular(sub.nodes, graph, tables)
+        tab_e = (self._encode_tabular(sub.nodes, graph, tables) if cache is None
+                 else Tensor(cache(sub.nodes)))
         init = positional_init(run_seed, sub.nodes, self.pe_dim)
         pos_e = self.pos_enc(sub, init)
         return self.mixer(type_e, hop_e, time_e, tab_e, pos_e)

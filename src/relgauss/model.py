@@ -121,10 +121,12 @@ class GelModel(Module):
 
     def forward_batch(self, batch: "BatchedSubgraphs", tables: TableData,
                       graph: RelGraph, *, run_seed: int = 0,
-                      ablation: AblationFlags = AblationFlags()) -> Tensor:
+                      ablation: AblationFlags = AblationFlags(),
+                      cache=None) -> Tensor:
         """One score per subgraph of the batch, in batch order; dropout runs
-        only when the batch carries generators."""
-        H = self.encoders.encode_subgraph(batch, graph, tables, run_seed)
+        only when the batch carries generators. ``cache`` (eval only) is
+        ``encode_subgraph``'s."""
+        H = self.encoders.encode_subgraph(batch, graph, tables, run_seed, cache=cache)
         eta = self.eta()
         for attn, gnn in zip(self.attn_layers, self.gnn_layers):
             H_attn = attn.attend(H, batch, use_bias=not ablation.no_gaussian_bias)

@@ -42,6 +42,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def grad_enabled() -> bool:
+    """Whether new ops record a tape (False inside ``no_grad``)."""
+    return _GRAD_ENABLED
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     if grad.shape == shape:
@@ -369,28 +374,34 @@ def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor
     its value and gradients are theirs bit for bit; the backward reuses the
     forward's normalised activations, 1/sigma and Gaussian CDF.
     """
-    z = None
-    for x, W in terms:
-        xw = x.data @ W.data.T
-        z = xw if z is None else z + xw
+    # past the first product every step writes into an array made here
+    (x0, W0), *rest = terms
+    z = x0.data @ W0.data.T
+    for x, W in rest:
+        z += x.data @ W.data.T
     if b1 is not None:
-        z = z + b1.data
+        z += b1.data
     n = z.shape[-1]
     mu = z.sum(axis=-1, keepdims=True) / n
-    centered = z - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    z -= mu
+    var = (z * z).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
-    y = xhat * gain.data + shift.data
-    phi = 0.5 * (1.0 + erf(y / math.sqrt(2.0)))
+    z *= inv
+    xhat = z
+    y = xhat * gain.data
+    y += shift.data
+    phi = y / math.sqrt(2.0)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     act = y * phi
     if mask is not None:
-        act = act * mask
+        act *= mask
     out = act
     if W2 is not None:
         out = act @ W2.data.T
         if b2 is not None:
-            out = out + b2.data
+            out += b2.data
 
     def backward(g):
         if h.requires_grad:
@@ -424,7 +435,8 @@ def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor
 
     parents = [h, gain, shift, *(t for term in terms for t in term)]
     parents += [t for t in (b1, W2, b2) if t is not None]
-    return Tensor._make(h.data + out, parents, backward)
+    out += h.data  # the backward reads act only if W2 made out a new array
+    return Tensor._make(out, parents, backward)
 
 
 def attention_block(H: Tensor, W_Q: Tensor, W_K: Tensor, W_V: Tensor,

@@ -125,12 +125,26 @@ def load_schema(path: str) -> DatabaseSchema:
     return DatabaseSchema(tables=tables, task=task)
 
 
+# the largest |timestamp| in seconds that float64 holds exactly, with every
+# whole second below it
+MAX_EXACT_SECONDS = 2**53
+
+
+def _inexact(text: str) -> str:
+    return (f"timestamp {text.strip()!r} is beyond ±2**53 s, "
+            "which float64 does not hold exactly")
+
+
 def _parse_timestamp(text: str) -> int:
     text = text.strip()
     try:
-        return int(text)
+        seconds = int(text)
     except ValueError:
         pass
+    else:
+        if abs(seconds) > MAX_EXACT_SECONDS:
+            raise ValueError(_inexact(text))
+        return seconds
     try:
         dt = datetime.fromisoformat(text)
     except ValueError as exc:
@@ -236,7 +250,7 @@ def _read_table(fh, path: str, tname: str, cols: list[ColumnSpec]) -> TableColum
         if c.kind in FLOAT_KINDS:
             dtype, parse, missing = FLOAT_KINDS[c.kind]
             try:  # float() or int() of every cell where numpy has not parsed them
-                values = cells.astype(dtype).astype(np.float64, copy=False)
+                values = cells.astype(dtype)
             except (ValueError, OverflowError):
                 values = np.full(len(cells), missing)
                 for i, v in enumerate(cells.tolist()):
@@ -246,6 +260,15 @@ def _read_table(fh, path: str, tname: str, cols: list[ColumnSpec]) -> TableColum
                         except (ValueError, OverflowError) as exc:
                             raise TableDataError(f"{path} line {line(i)} column {c.name!r}: "
                                                  f"{exc}") from exc
+            else:
+                if c.kind == "timestamp":  # _parse_timestamp's check, on the whole column
+                    inexact = np.flatnonzero((values > MAX_EXACT_SECONDS)
+                                             | (values < -MAX_EXACT_SECONDS))
+                    if len(inexact):
+                        i = int(inexact[0])
+                        raise TableDataError(f"{path} line {line(i)} column {c.name!r}: "
+                                             f"{_inexact(cells[i])}")
+                values = values.astype(np.float64, copy=False)
             (tc.numerical if c.kind == "numerical" else tc.timestamps)[c.name] = values
             continue
         cells = cells.astype(str)

@@ -80,23 +80,33 @@ def structural_sample(graph: RelGraph, seed: int, seed_time: float,
     return np.stack([np.concatenate(levels), hops], axis=1)
 
 
+def refinement_query(candidates: np.ndarray, config: SamplingConfig) -> np.ndarray:
+    """The nodes ``semantic_refine`` embeds for ``candidates``, seed first:
+    the seed and every deep (2+ hop) candidate, or none when there is no
+    deep candidate or the seed and its 1-hop nodes already fill
+    ``stage2_keep``."""
+    deep = candidates[:, 1] > 1
+    if not deep.any() or len(candidates) - np.count_nonzero(deep) >= config.stage2_keep:
+        return candidates[:0, 0]
+    return np.concatenate([candidates[:1, 0], candidates[deep, 0]])
+
+
 def semantic_refine(graph: RelGraph, seed_time: float, candidates: np.ndarray,
                     embeddings, config: SamplingConfig) -> SampledSubgraph:
     """Top-k refinement of 2-hop (and deeper) candidates; 1-hop always kept.
 
-    ``candidates`` are ``structural_sample``'s rows, the seed first.
-    ``embeddings`` maps an int array of nodes to their (k, d) embeddings;
-    the seed and every deep candidate are embedded in one call.
+    ``candidates`` are stage 1's rows, the seed first. ``embeddings`` maps
+    an int array of nodes to their (k, d) embeddings; the nodes of
+    ``refinement_query`` are embedded in one call.
     """
-    deep = candidates[:, 1] > 1
-    keep = ~deep
-    room = config.stage2_keep - np.count_nonzero(keep)
-    if deep.any() and room > 0:
-        ids = candidates[deep, 0]
-        E = embeddings(np.concatenate([candidates[:1, 0], ids]))
+    keep = candidates[:, 1] <= 1
+    query = refinement_query(candidates, config)
+    if len(query):
+        E = embeddings(query)
         sims = E[1:] @ E[0]
-        order = np.lexsort((ids, -sims))  # similarity descending, then id
-        keep[np.flatnonzero(deep)[order[:room]]] = True
+        order = np.lexsort((query[1:], -sims))  # similarity descending, then id
+        room = config.stage2_keep - np.count_nonzero(keep)
+        keep[np.flatnonzero(~keep)[order[:room]]] = True
     return _finalize(graph, seed_time, candidates[keep])
 
 
@@ -117,25 +127,27 @@ def _finalize(graph: RelGraph, seed_time: float,
                            edges=edges, seed_time=float(seed_time))
 
 
-def sample(graph: RelGraph, seed: int, seed_time: float, embeddings,
-           config: SamplingConfig, *, skip_refinement: bool = False,
-           random_stage1_rng: np.random.Generator | None = None,
-           ) -> SampledSubgraph:
-    """Both sampling stages composed, with ablation switches.
+def stage1(graph: RelGraph, seed: int, seed_time: float, config: SamplingConfig,
+           rng: np.random.Generator | None = None) -> np.ndarray:
+    """Stage 1's candidate rows of ``seed``: ``structural_sample``, or with
+    ``rng`` (the no-structural-sampling ablation) a uniform draw of the
+    same budget from the full temporally valid <= max_hop neighbourhood,
+    kept in (hop, id) order."""
+    if rng is None:
+        return structural_sample(graph, seed, seed_time, config)
+    candidates = structural_sample(graph, seed, seed_time, config, budget=graph.n_nodes)
+    others = candidates[1:]
+    take = min(config.stage1_budget - 1, len(others))
+    if take < len(others):
+        idx = rng.choice(len(others), size=take, replace=False)
+        candidates = np.concatenate([candidates[:1], others[np.sort(idx)]])
+    return candidates
 
-    ``skip_refinement`` keeps the whole stage-1 candidate set.
-    ``random_stage1_rng`` replaces BFS truncation with a uniform draw from
-    the full temporally-valid <=max_hop neighborhood (budget unchanged).
-    """
-    if random_stage1_rng is not None:
-        candidates = structural_sample(graph, seed, seed_time, config, budget=graph.n_nodes)
-        others = candidates[1:]
-        take = min(config.stage1_budget - 1, len(others))
-        if take < len(others):
-            idx = random_stage1_rng.choice(len(others), size=take, replace=False)
-            candidates = np.concatenate([candidates[:1], others[np.sort(idx)]])
-    else:
-        candidates = structural_sample(graph, seed, seed_time, config)
+
+def sample(graph: RelGraph, seed_time: float, candidates: np.ndarray, embeddings,
+           config: SamplingConfig, *, skip_refinement: bool = False) -> SampledSubgraph:
+    """The subgraph of stage 1's ``candidates``: refined by ``embeddings``,
+    or with ``skip_refinement`` the whole candidate set."""
     if skip_refinement:
         return _finalize(graph, seed_time, candidates)
     return semantic_refine(graph, seed_time, candidates, embeddings, config)

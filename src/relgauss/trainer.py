@@ -14,7 +14,7 @@ from .model import AblationFlags, GelModel, ModelConfig, batch_subgraphs
 from .model import loss as loss_fn
 from .numcore import Parameter
 from .relstore import DatabaseSchema, RelGraph, TableData, TableDataError
-from .sampler import SampledSubgraph, SamplingConfig, sample
+from .sampler import SampledSubgraph, SamplingConfig, refinement_query, sample, stage1
 
 
 class NumericAbort(RuntimeError):
@@ -150,27 +150,47 @@ def task_metric(schema: DatabaseSchema, tables: TableData, rows,
 
 
 class EmbeddingCache:
-    """Per-epoch memo of tabular embeddings used for semantic refinement."""
+    """Memo of tabular embeddings: semantic refinement ranks by them, and an
+    eval forward pass reads its tabular channel from them.
+
+    Each node's row is encoded on its first miss and stays the same until
+    ``refresh()``, which training calls at the start of each epoch and
+    before scoring, so that the rows follow the current weights. Rows are
+    stored packed in the order they arrive: ``_slot`` maps a node to its
+    row, and ``_rows`` is written front to back, so the memory the cache
+    touches follows the number of rows cached, not the number of nodes.
+    """
 
     def __init__(self, model: GelModel, graph: RelGraph, tables: TableData):
         self.model = model
         self.graph = graph
         self.tables = tables
-        self._rows = np.zeros((graph.n_nodes, model.config.d))
-        self._have = np.zeros(graph.n_nodes, dtype=bool)
+        self._slot = np.full(graph.n_nodes, -1, dtype=np.intp)
+        self._rows = np.empty((graph.n_nodes, model.config.d))
+        self._count = 0
+
+    def __len__(self) -> int:
+        """The number of rows held, each a distinct node since ``refresh()``."""
+        return self._count
 
     def refresh(self) -> None:
-        self._have[:] = False
+        self._slot[:] = -1
+        self._count = 0
 
     def __call__(self, nodes: np.ndarray) -> np.ndarray:
         """(k, d) embeddings of the nodes; the misses are encoded in one call."""
         nodes = np.asarray(nodes, dtype=np.intp)
-        miss = np.unique(nodes[~self._have[nodes]])
-        if len(miss):
-            self._rows[miss] = self.model.encoders.node_embedding(
+        slots = self._slot[nodes]
+        missing = slots < 0
+        if missing.any():
+            miss = np.unique(nodes[missing])
+            lo, hi = self._count, self._count + len(miss)
+            self._rows[lo:hi] = self.model.encoders.node_embedding(
                 miss, self.graph, self.tables)
-            self._have[miss] = True
-        return self._rows[nodes]
+            self._slot[miss] = np.arange(lo, hi)
+            self._count = hi
+            slots = self._slot[nodes]
+        return self._rows[slots]
 
 
 @dataclass
@@ -198,35 +218,47 @@ def _target_values(schema: DatabaseSchema, tables: TableData) -> np.ndarray:
     return values
 
 
-def sample_row(graph: RelGraph, schema: DatabaseSchema, tables: TableData,
-               row: int, embed, samp_cfg: SamplingConfig, ablation: AblationFlags,
-               stream: tuple[int, int]) -> SampledSubgraph:
-    """The subgraph sampled around target-table row ``row`` at its seed time.
-    ``stream``, the (run seed, epoch) pair, keys the row's own random stage-1
-    draw; eval passes epoch 0, which no training epoch is."""
+def sample_rows(graph: RelGraph, schema: DatabaseSchema, tables: TableData,
+                rows: list[int], embed: EmbeddingCache, samp_cfg: SamplingConfig,
+                ablation: AblationFlags, stream: tuple[int, int]) -> list[SampledSubgraph]:
+    """The subgraphs sampled around target-table rows at their seed times.
+
+    Stage 1 runs for every row first; then one ``embed`` call fills the
+    cache with every node that refinement will rank (``refinement_query``
+    of each row), so each row is refined from cache hits. ``stream``, the
+    (run seed, epoch) pair, keys each row's own random stage-1 draw; eval
+    passes epoch 0, which no training epoch is."""
     task = schema.task
-    seed_time = tables.tables[task.target_table].timestamps[task.seed_time_column][row]
-    rng = (np.random.default_rng([*stream, row, 3])
-           if ablation.no_structural_sampling else None)
-    return sample(graph, graph.node_id(task.target_table, row), float(seed_time),
-                  embed, samp_cfg, skip_refinement=ablation.no_semantic_refinement,
-                  random_stage1_rng=rng)
+    times = tables.tables[task.target_table].timestamps[task.seed_time_column]
+    candidates = [
+        stage1(graph, graph.node_id(task.target_table, row), float(times[row]), samp_cfg,
+               np.random.default_rng([*stream, row, 3])
+               if ablation.no_structural_sampling else None)
+        for row in rows]
+    if not ablation.no_semantic_refinement:
+        embed(np.concatenate([refinement_query(c, samp_cfg) for c in candidates]))
+    return [sample(graph, float(times[row]), c, embed, samp_cfg,
+                   skip_refinement=ablation.no_semantic_refinement)
+            for row, c in zip(rows, candidates)]
 
 
 def predict_rows(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
-                 tables: TableData, rows: list[int], embed, samp_cfg: SamplingConfig,
-                 ablation: AblationFlags, run_seed: int, *,
+                 tables: TableData, rows: list[int], embed: EmbeddingCache,
+                 samp_cfg: SamplingConfig, ablation: AblationFlags, run_seed: int, *,
                  micro_batch: int) -> np.ndarray:
-    """Eval-mode scores for target-table rows (dropout off, no graph)."""
+    """Eval-mode scores for target-table rows (dropout off, no graph).
+
+    ``embed`` must hold the current weights' embeddings (fresh or refreshed
+    since the last update): refinement ranks by them, and the forward pass
+    reads its tabular channel from them."""
     scores = np.empty(len(rows))
     with nc.no_grad():
         for lo in range(0, len(rows), micro_batch):
             chunk = rows[lo:lo + micro_batch]
-            subs = [sample_row(graph, schema, tables, row, embed, samp_cfg,
+            subs = sample_rows(graph, schema, tables, chunk, embed, samp_cfg,
                                ablation, (run_seed, 0))
-                    for row in chunk]
             out = model.forward_batch(batch_subgraphs(subs), tables, graph,
-                                      run_seed=run_seed, ablation=ablation)
+                                      run_seed=run_seed, ablation=ablation, cache=embed)
             scores[lo:lo + len(chunk)] = out.data
     return scores
 
@@ -303,9 +335,8 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
             total = None
             for lo in range(0, len(batch), config.micro_batch):
                 chunk = [int(r) for r in batch[lo:lo + config.micro_batch]]
-                subs = [sample_row(graph, schema, tables, row, embed, samp_cfg,
+                subs = sample_rows(graph, schema, tables, chunk, embed, samp_cfg,
                                    ablation, (config.rng_seed, epoch))
-                        for row in chunk]
                 # each example's own dropout generator; its key ends in 1,
                 # the stage-1 draw's in 3, the shuffle's is the bare seed
                 rngs = [np.random.default_rng([config.rng_seed, epoch, row, 1])
@@ -363,7 +394,9 @@ def train(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
             best_metric = val_metric
             best_params = {n: p.data.copy() for n, p in params.items()}
 
-    # restore best-val weights and score the test split
+    # restore best-val weights and score the test split; score_test fills a
+    # cache of its own, so this one's rows are let go first
+    del embed
     for n, p in params.items():
         p.data = best_params[n]
     test_scores, _, test_metric = score_test(model, graph, schema, tables, test_rows,

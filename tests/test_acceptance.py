@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import sample_seed
 from relgauss import numcore as nc
 from relgauss.attention import AttentionLayer
 from relgauss.cli import main as cli_main
@@ -26,7 +27,7 @@ from relgauss.oracles import (KatzParams, ascend_bias, euler_ratio_factor,
                               structural_loss_ratio, verify_mu_gradient,
                               verify_snr_refinement)
 from relgauss.relstore import build_graph, load_schema, load_tables
-from relgauss.sampler import SamplingConfig, sample, structural_sample
+from relgauss.sampler import SamplingConfig, structural_sample
 from relgauss.synthgen import SynthConfig, temporal_split, write_db
 from relgauss.trainer import EmbeddingCache, TrainConfig, run_ablation_sweep
 
@@ -218,7 +219,7 @@ def test_sampling_causality_and_one_hop_retention_at_scale(bench_db):
             node = graph.node_id(schema.task.target_table, row)
             st = float(seed_times[row])
             candidates = structural_sample(graph, node, st, samp_cfg)
-            sub = sample(graph, node, st, embed, samp_cfg)
+            sub = sample_seed(graph, node, st, embed, samp_cfg)
             total += 1
             # causality: every non-seed node strictly precedes the seed
             times = graph.node_time[sub.nodes[1:]]
@@ -304,8 +305,8 @@ def test_whole_model_gradient_matches_finite_differences(four_node_setup):
     model = GelModel(ModelConfig(d=16, n_layers=1, n_heads=2, pe_dim=4,
                                  dropout=0.0), schema, tables)
     embed = model.encoders.node_embedding(np.arange(graph.n_nodes), graph, tables)
-    sub = sample(graph, 0, float(graph.node_time[0]), embed.__getitem__,
-                 SamplingConfig())
+    sub = sample_seed(graph, 0, float(graph.node_time[0]), embed.__getitem__,
+                      SamplingConfig())
     assert sub.n_nodes == 4  # seed + its three events
     batch = batch_subgraphs([sub])
 

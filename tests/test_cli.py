@@ -700,6 +700,19 @@ def test_train_on_a_bad_csv_row_exits_2(gen_dir, tmp_path, capsys, row, column):
     assert "events.csv" in err and f"line {last_line}" in err and repr(column) in err
 
 
+@pytest.mark.parametrize("seconds", [2**53 + 1, 2**60 + 1, -(2**53 + 1),
+                                     99999999999999999999])
+def test_ingest_of_a_timestamp_beyond_2_to_the_53_exits_2(gen_dir, tmp_path, capsys,
+                                                          seconds):
+    """float64 holds every whole second up to 2**53 and no further, so a
+    later or earlier time would be stored rounded."""
+    db, last_line = bad_events_db(gen_dir, tmp_path, f"evX,e0,e1,{seconds},0.5,0.1\n")
+    code, _, err = run(capsys, "ingest", "--data", str(db))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert "events.csv" in err and f"line {last_line}" in err and "'event_time'" in err
+
+
 def db_with_label(gen_dir, tmp_path, row, label, kind):
     """A copy of the database with one target cell replaced and the task's kind set."""
     db = tmp_path / "db"

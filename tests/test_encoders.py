@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import sample_seed
 from relgauss import numcore as nc
 from relgauss.encoders import (Affine, Embedding, EncoderSuite, PositionalEncoder,
                                TabularEncoder, TimeEncoder, positional_init)
 from relgauss.model import ModelConfig, batch_subgraphs
 from relgauss.numcore import Tensor
 from relgauss.relstore import build_graph, load_schema, load_tables
-from relgauss.sampler import SamplingConfig, sample
+from relgauss.sampler import SamplingConfig
 
 CFG = ModelConfig(d=16, max_hop=2, pe_dim=4, gin_layers=2)
 
@@ -203,7 +204,7 @@ def test_encoder_suite_shapes_and_determinism(tiny_db):
     schema, tables, graph = tiny_db
     suite = EncoderSuite(CFG, schema, tables, np.random.default_rng(1))
     emb = suite.node_embedding(np.arange(graph.n_nodes), graph, tables)
-    sub = sample(graph, 0, float(graph.node_time[0]), emb.__getitem__, SamplingConfig())
+    sub = sample_seed(graph, 0, float(graph.node_time[0]), emb.__getitem__, SamplingConfig())
     batch = batch_subgraphs([sub])
     H1 = suite.encode_subgraph(batch, graph, tables, run_seed=0)
     H2 = suite.encode_subgraph(batch, graph, tables, run_seed=0)
@@ -216,7 +217,7 @@ def test_encoder_suite_gradients_flow(tiny_db):
     schema, tables, graph = tiny_db
     suite = EncoderSuite(CFG, schema, tables, np.random.default_rng(2))
     emb = suite.node_embedding(np.arange(graph.n_nodes), graph, tables)
-    sub = sample(graph, 0, float(graph.node_time[0]), emb.__getitem__, SamplingConfig())
+    sub = sample_seed(graph, 0, float(graph.node_time[0]), emb.__getitem__, SamplingConfig())
     params = suite.parameters()
     nc.zero_grad(params)
     H = suite.encode_subgraph(batch_subgraphs([sub]), graph, tables, run_seed=0)

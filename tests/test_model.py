@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sample_seed
 from relgauss import numcore as nc
 from relgauss.attention import pairwise_delta_days
 from relgauss.encoders import positional_init
 from relgauss.model import (PAD, AblationFlags, GelModel, ModelConfig,
                             batch_subgraphs, fuse, loss)
 from relgauss.numcore import Tensor
-from relgauss.sampler import SamplingConfig, sample
+from relgauss.sampler import SamplingConfig
 from relgauss.trainer import TrainConfig, score_test
 
 
@@ -31,8 +32,8 @@ def score_one(model, sub, tiny_db, ablation=AblationFlags()):
 def subgraphs_for(tiny_db, model):
     schema, tables, graph = tiny_db
     emb = model.encoders.node_embedding(np.arange(graph.n_nodes), graph, tables)
-    return [sample(graph, s, float(graph.node_time[s]), emb.__getitem__,
-                   SamplingConfig())
+    return [sample_seed(graph, s, float(graph.node_time[s]), emb.__getitem__,
+                        SamplingConfig())
             for s in range(3)]
 
 

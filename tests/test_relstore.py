@@ -212,6 +212,28 @@ def test_unparseable_timestamp_rejected(db):
         load_tables(schema, str(db))
 
 
+@pytest.mark.parametrize("cell, parser", [
+    (str(2**53 + 1), "whole column"),   # an int64 that float64 rounds to 2**53
+    (str(-(2**60 + 1)), "whole column"),
+    ("99999999999999999999", "per cell"),  # past int64: int() of the cell
+])
+def test_a_timestamp_float64_cannot_hold_exactly_is_rejected(db, cell, parser):
+    (db / "orders.csv").write_text(
+        f"order_id,user_id,placed,amount\no1,u1,5,1\no2,u1,{cell},2\n")
+    schema = load_schema(str(db / "schema.json"))
+    with pytest.raises(TableDataError, match=rf"line 3 column 'placed': timestamp "
+                                             rf"'{cell}' is beyond ±2\*\*53 s"):
+        load_tables(schema, str(db))
+
+
+def test_timestamps_of_2_to_the_53_load_exactly(db):
+    (db / "orders.csv").write_text(
+        f"order_id,user_id,placed,amount\no1,u1,{2**53},1\no2,u1,-{2**53},2\n")
+    schema = load_schema(str(db / "schema.json"))
+    placed = load_tables(schema, str(db)).tables["orders"].timestamps["placed"]
+    assert placed.tolist() == [2.0**53, -2.0**53]
+
+
 # -- equivalence with the per-cell parser -----------------------------------
 
 
@@ -334,7 +356,7 @@ ORDERS_HEADER = "order_id,user_id,placed,amount\n"
     # surrounding spaces, exponents, nan, inf, underscores, signs
     ("u1, gold , 1e3 ,+5,nan\nu2,gold,-inf, -7 ,1_000\nu3,Gold,inf,0012,-0.0\n",
      "o1,u1,1_000,+2.5\no2,u2,-0,  -1e-3  \n"),
-    # int64 overflow and a timestamp above 2**53, which float64 rounds
+    # int64 overflow and a timestamp above 2**53: both sides refuse it
     (f"u1,a,1,{2**53 + 1},0\nu2,a,2,{2**63},0\nu3,a,3,-{2**64},1\n",
      f"o1,u1,{2**62 + 3},1\n"),
     # ISO times with and without a UTC offset, next to plain ints

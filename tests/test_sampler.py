@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import generate_db
+from conftest import generate_db, sample_seed
 from relgauss.model import batch_subgraphs
 from relgauss.relstore import CsrAdjacency, RelGraph, build_graph
-from relgauss.sampler import (SamplingConfig, sample, semantic_refine,
+from relgauss.sampler import (SamplingConfig, semantic_refine,
                               structural_sample, subgraph_to_dict)
 from relgauss.synthgen import SynthConfig
 
@@ -127,7 +127,7 @@ def test_refine_accepts_callable_embeddings(star_graph):
 
 
 def test_subgraph_layout_and_delta_t(star_graph):
-    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
+    sub = sample_seed(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
     assert sub.nodes[0] == 0 and sub.hop[0] == 0
     assert sub.delta_t[0] == 0.0
     # nodes ordered by (hop, id) after the seed
@@ -138,7 +138,7 @@ def test_subgraph_layout_and_delta_t(star_graph):
 
 
 def test_local_adjacency_is_induced_subgraph(star_graph):
-    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
+    sub = sample_seed(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
     assert sub.edges.shape == (2, 14)  # the 7 edges among the 8 nodes, both ways
     index = {n: i for i, n in enumerate(sub.nodes.tolist())}
     for n, local in zip(sub.nodes.tolist(), neighbour_lists(sub)):
@@ -148,7 +148,7 @@ def test_local_adjacency_is_induced_subgraph(star_graph):
 
 
 def test_agg_matrices(star_graph):
-    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
+    sub = sample_seed(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
     batch = batch_subgraphs([sub])
     A = batch.adjacency[0]
     assert np.array_equal(A, A.T)
@@ -158,8 +158,8 @@ def test_agg_matrices(star_graph):
 
 
 def test_skip_refinement_keeps_all_candidates(star_graph):
-    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig(stage2_keep=5),
-                 skip_refinement=True)
+    sub = sample_seed(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig(stage2_keep=5),
+                      skip_refinement=True)
     assert sub.n_nodes == 8  # full stage-1 set, ignoring stage2_keep
 
 
@@ -167,9 +167,8 @@ def test_random_stage1_draws_from_valid_set(star_graph):
     rng = np.random.default_rng(0)
     seen = set()
     for _ in range(30):
-        sub = sample(star_graph, 0, 100.0, ZERO_EMB,
-                     SamplingConfig(stage1_budget=4, stage2_keep=4),
-                     random_stage1_rng=rng)
+        sub = sample_seed(star_graph, 0, 100.0, ZERO_EMB,
+                          SamplingConfig(stage1_budget=4, stage2_keep=4), rng=rng)
         assert sub.nodes[0] == 0 and sub.n_nodes == 4
         for n in sub.nodes[1:]:
             assert star_graph.node_time[n] < 100.0
@@ -181,15 +180,15 @@ def test_random_stage1_draws_from_valid_set(star_graph):
 
 def test_deterministic_given_same_inputs(star_graph):
     emb = (np.arange(9.0) % 3)[:, None].__getitem__
-    a = sample(star_graph, 0, 100.0, emb, SamplingConfig(stage2_keep=6))
-    b = sample(star_graph, 0, 100.0, emb, SamplingConfig(stage2_keep=6))
+    a = sample_seed(star_graph, 0, 100.0, emb, SamplingConfig(stage2_keep=6))
+    b = sample_seed(star_graph, 0, 100.0, emb, SamplingConfig(stage2_keep=6))
     np.testing.assert_array_equal(a.nodes, b.nodes)
     np.testing.assert_array_equal(a.delta_t, b.delta_t)
     np.testing.assert_array_equal(a.edges, b.edges)
 
 
 def test_subgraph_to_dict_roundtrip(star_graph):
-    sub = sample(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
+    sub = sample_seed(star_graph, 0, 100.0, ZERO_EMB, SamplingConfig())
     d = subgraph_to_dict(sub)
     assert d["nodes"][0] == 0 and d["seed_time"] == 100.0
     assert d["edges"]
@@ -296,11 +295,11 @@ def test_sampling_matches_set_based_reference(synth_graph, max_hop, budget):
         paths = [
             (dict(), reference_refine(cands, E, seed, cfg.stage2_keep)),
             (dict(skip_refinement=True), cands),
-            (dict(random_stage1_rng=np.random.default_rng(seed)),
+            (dict(rng=np.random.default_rng(seed)),
              reference_refine(random_cands, E, seed, cfg.stage2_keep)),
         ]
         for kwargs, kept in paths:
-            sub = sample(graph, seed, t, E.__getitem__, cfg, **kwargs)
+            sub = sample_seed(graph, seed, t, E.__getitem__, cfg, **kwargs)
             nodes, hops, delta, adj = reference_finalize(lists, graph.node_time, seed, t, kept)
             assert sub.nodes.tolist() == nodes
             assert sub.hop.tolist() == hops

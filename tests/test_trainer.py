@@ -3,14 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import sample_seed
 from relgauss import numcore as nc
 from relgauss import trainer
 from relgauss.model import AblationFlags, GelModel, ModelConfig, batch_subgraphs
 from relgauss.model import loss as loss_fn
 from relgauss.numcore import Parameter
 from relgauss.relstore import build_graph, load_schema, load_tables
-from relgauss.sampler import SamplingConfig, sample, structural_sample
+from relgauss.sampler import SamplingConfig, sample, stage1, structural_sample
 from relgauss.synthgen import SynthConfig, temporal_split, write_db
 from relgauss.trainer import (AdamState, EmbeddingCache, NumericAbort,
                               TrainConfig, adam_step, auc, mae, predict_rows,
@@ -266,9 +269,9 @@ def test_per_chunk_backward_matches_one_backward_of_the_summed_loss(small_setup)
     targets = trainer._target_values(schema, tables)
     rows = [int(r) for r in splits[0][:9]]
     chunks = [rows[:4], rows[4:6], rows[6:]]  # unequal sizes
-    subs = [[trainer.sample_row(graph, schema, tables, r, embed, SCFG, AblationFlags(),
+    subs = [trainer.sample_rows(graph, schema, tables, chunk, embed, SCFG, AblationFlags(),
                                 (TCFG.rng_seed, 1))
-             for r in chunk] for chunk in chunks]
+            for chunk in chunks]
 
     def chunk_losses(seed):
         for chunk, chunk_subs in zip(chunks, subs):
@@ -311,8 +314,8 @@ def test_a_train_bench_micro_batch_builds_at_most_100_tape_nodes(small_setup):
     samp = SamplingConfig(stage1_budget=32, stage2_keep=20)
     embed = EmbeddingCache(model, graph, tables)
     rows = [int(r) for r in splits[0][:8]]
-    subs = [trainer.sample_row(graph, schema, tables, r, embed, samp, AblationFlags(),
-                               (0, 1)) for r in rows]
+    subs = trainer.sample_rows(graph, schema, tables, rows, embed, samp, AblationFlags(),
+                               (0, 1))
     rngs = [np.random.default_rng([0, 1, r, 1]) for r in rows]
     scores = model.forward_batch(batch_subgraphs(subs, rngs), tables, graph)
     loss = loss_fn(scores, trainer._target_values(schema, tables)[rows],
@@ -338,15 +341,15 @@ NO_STRUCTURAL = AblationFlags(no_structural_sampling=True)
 
 
 def spy_on_stage1_streams(monkeypatch, graph):
-    """Record, per call of ``trainer.sample``, the seed's target-table row
+    """Record, per call of ``trainer.stage1``, the seed's target-table row
     and an untouched copy of the generator it was handed."""
     streams = []
 
-    def spy(graph_, seed, *args, random_stage1_rng=None, **kwargs):
-        streams.append((int(graph.node_row[seed]), copy.deepcopy(random_stage1_rng)))
-        return sample(graph_, seed, *args, random_stage1_rng=random_stage1_rng, **kwargs)
+    def spy(graph_, seed, seed_time, config, rng=None):
+        streams.append((int(graph.node_row[seed]), copy.deepcopy(rng)))
+        return stage1(graph_, seed, seed_time, config, rng)
 
-    monkeypatch.setattr(trainer, "sample", spy)
+    monkeypatch.setattr(trainer, "stage1", spy)
     return streams
 
 
@@ -453,6 +456,130 @@ def test_embedding_cache_memoizes_and_refreshes(small_setup, monkeypatch):
     assert not np.array_equal(v2, v1)
 
 
+# few distinct nodes, so that calls repeat nodes of earlier calls
+CACHE_OPS = st.lists(st.one_of(st.just("refresh"),
+                                st.lists(st.integers(0, 15), min_size=1, max_size=12)),
+                      min_size=1, max_size=10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=CACHE_OPS)
+def test_embedding_cache_rows_are_stable_until_refresh(small_setup, ops):
+    """Node arrays with repeats over several calls and refreshes: a node's
+    row stays the same until refresh(), and is node_embedding's own row."""
+    schema, tables, graph, _ = small_setup
+    model = GelModel(MCFG, schema, tables)
+    bias = model.encoders.tab_enc.blocks[0].a2.b
+    cache = EmbeddingCache(model, graph, tables)
+    seen = {}
+    for op in ops:
+        if op == "refresh":
+            bias.data = bias.data + 0.5  # later rows come from other weights
+            cache.refresh()
+            seen.clear()
+            continue
+        nodes = np.array(op)
+        rows = cache(nodes)
+        assert rows.shape == (len(nodes), MCFG.d)
+        for n, row in zip(op, rows):
+            if n in seen:
+                np.testing.assert_array_equal(row, seen[n])
+            seen[n] = row.copy()
+            alone = model.encoders.node_embedding(np.array([n]), graph, tables)[0]
+            np.testing.assert_allclose(row, alone, rtol=0, atol=1e-12)
+        assert len(cache) == len(seen)  # one row per distinct node, packed
+
+
+# 3 hops, so that most rows have deep candidates for refinement to rank
+DEEP = SamplingConfig(max_hop=3, stage1_budget=100, stage2_keep=40)
+DEEP_MODEL = ModelConfig(d=16, n_layers=1, n_heads=2, pe_dim=4, max_hop=3)
+
+
+def test_a_predict_rows_request_fills_the_cache_once(small_setup, monkeypatch):
+    """One request of 8 rows: one node_embedding call for everything
+    refinement ranks and one for the kept nodes it did not rank; the
+    forward pass encodes no tabular row of its own."""
+    schema, tables, graph, splits = small_setup
+    model = GelModel(DEEP_MODEL, schema, tables)
+    encoders = model.encoders
+    calls = {"node_embedding": 0, "_encode_tabular": 0}
+
+    def counted(name):
+        fn = getattr(encoders, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(encoders, name, counted(name))
+    rows = [int(r) for r in splits[2][:8]]
+    predict_rows(model, graph, schema, tables, rows, EmbeddingCache(model, graph, tables),
+                 DEEP, AblationFlags(), 0, micro_batch=8)
+    assert 1 <= calls["node_embedding"] <= 2
+    assert calls["_encode_tabular"] == calls["node_embedding"]
+
+
+ABLATIONS = [AblationFlags(), AblationFlags(no_structural_sampling=True),
+             AblationFlags(no_semantic_refinement=True),
+             AblationFlags(no_gaussian_bias=True), AblationFlags(no_gnn_branch=True)]
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda a: a.name)
+def test_eval_scores_from_the_cached_channel_match_the_encoded_one(small_setup,
+                                                                   monkeypatch, ablation):
+    """predict_rows, which samples each request's rows together and reads
+    the tabular channel from the cache, against each row sampled on its own
+    and its channel encoded in the forward pass."""
+    schema, tables, graph, splits = small_setup
+    model = GelModel(DEEP_MODEL, schema, tables)
+    rows = [int(r) for r in splits[2]]
+    sampled = []
+
+    def recording_sample(*args, **kwargs):
+        sub = sample(*args, **kwargs)
+        sampled.append(sub.nodes.tolist())
+        return sub
+
+    monkeypatch.setattr(trainer, "sample", recording_sample)
+    scores = predict_rows(model, graph, schema, tables, rows,
+                          EmbeddingCache(model, graph, tables), DEEP, ablation, 0,
+                          micro_batch=4)
+    monkeypatch.undo()
+
+    task = schema.task
+    times = tables.tables[task.target_table].timestamps[task.seed_time_column]
+    alone = []
+    with nc.no_grad():
+        for row in rows:
+            rng = (np.random.default_rng([0, 0, row, 3])
+                   if ablation.no_structural_sampling else None)
+            sub = sample_seed(graph, graph.node_id(task.target_table, row),
+                              float(times[row]), EmbeddingCache(model, graph, tables), DEEP,
+                              rng=rng, skip_refinement=ablation.no_semantic_refinement)
+            assert sub.nodes.tolist() == sampled[len(alone)], row
+            alone.append(model.forward_batch(batch_subgraphs([sub]), tables, graph,
+                                             ablation=ablation).data[0])
+    np.testing.assert_allclose(scores, alone, rtol=0, atol=1e-12)
+
+
+def test_a_cache_with_gradients_on_raises(small_setup):
+    """Read from a cache the tabular channel would get no gradient."""
+    schema, tables, graph, splits = small_setup
+    model = GelModel(MCFG, schema, tables)
+    embed = EmbeddingCache(model, graph, tables)
+    rows = [int(r) for r in splits[0][:2]]
+    batch = batch_subgraphs(trainer.sample_rows(graph, schema, tables, rows, embed, SCFG,
+                                                AblationFlags(), (0, 1)))
+    with pytest.raises(ValueError, match="no_grad"):
+        model.forward_batch(batch, tables, graph, cache=embed)
+    with pytest.raises(ValueError, match="no_grad"):
+        model.encoders.encode_subgraph(batch, graph, tables, 0, cache=embed)
+    with nc.no_grad():
+        model.forward_batch(batch, tables, graph, cache=embed)
+
+
 def test_eval_scores_do_not_depend_on_micro_batch(small_setup, monkeypatch):
     schema, tables, graph, splits = small_setup
     model = GelModel(MCFG, schema, tables)
@@ -500,7 +627,7 @@ def test_batched_refinement_matches_scalar_definition(small_setup):
         h_seed = scalar_embedding(node)
         ranked = sorted(deep, key=lambda u: (-float(h_seed @ scalar_embedding(u)), u))
         room = max(cfg.stage2_keep - len(near), 0)
-        sub = sample(graph, node, seed_time, embed, cfg)
+        sub = sample_seed(graph, node, seed_time, embed, cfg)
         assert set(sub.nodes.tolist()) == near | set(ranked[:room])
         cut += 0 < room < len(deep)
     assert cut > target.n_rows // 2  # the ranking decided most subgraphs
