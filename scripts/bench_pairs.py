@@ -20,8 +20,12 @@ In each checkout, with its own ``src`` and perfbench, a child process runs
 one ``train-bench`` train call, one ``score-deep`` pass, and a CLI ``gen``
 of a 200-entity database and ``train --seed 0`` at the ``train-bench``
 configs. For the epoch records, the 400 scores, ``metrics.jsonl`` and
-``checkpoint.bin`` it prints both sides' sha256 and the largest absolute
-and relative differences of their numbers. Exits 1 if a digest differs.
+``checkpoint.bin`` it prints both sides' sha256 and the largest absolute,
+relative and scaled differences of their numbers, where a scaled
+difference is |change - parent| / max(1, |parent|). Exits 1 if a digest
+differs, or with ``--tol T`` only if a file's numbers differ in count or
+by more than T scaled: a relative difference cannot state a tolerance for
+a number near 0.
 """
 
 from __future__ import annotations
@@ -158,14 +162,15 @@ def numbers(name: str, data: bytes) -> np.ndarray:
 
 def compare_numerics(parent: dict[str, bytes], change: dict[str, bytes]) -> list[dict]:
     """Per file of ``parent`` (name -> bytes): both sides' sha256, whether
-    they are equal, and the largest absolute and relative differences of the
-    two sides' numbers (None when their counts differ)."""
+    they are equal, and the largest absolute, relative and scaled
+    (|change - parent| / max(1, |parent|)) differences of the two sides'
+    numbers (None when their counts differ)."""
     rows = []
     for name, p_data in parent.items():
         c_data = change[name]
         row = {"name": name, "parent_sha256": hashlib.sha256(p_data).hexdigest(),
                "change_sha256": hashlib.sha256(c_data).hexdigest(),
-               "max_abs": None, "max_rel": None}
+               "max_abs": None, "max_rel": None, "max_scaled": None}
         row["equal"] = row["parent_sha256"] == row["change_sha256"]
         a, b = numbers(name, p_data), numbers(name, c_data)
         row["values"] = [len(a), len(b)]
@@ -174,8 +179,10 @@ def compare_numerics(parent: dict[str, bytes], change: dict[str, bytes]) -> list
             with np.errstate(divide="ignore", invalid="ignore"):
                 diff = np.where(same, 0.0, np.abs(a - b))
                 rel = np.where(same, 0.0, diff / np.abs(a))
+                scaled = np.where(same, 0.0, diff / np.maximum(1.0, np.abs(a)))
             row["max_abs"] = float(diff.max(initial=0.0))
             row["max_rel"] = float(rel.max(initial=0.0))
+            row["max_scaled"] = float(scaled.max(initial=0.0))
         rows.append(row)
     return rows
 
@@ -184,11 +191,20 @@ def format_numerics(rows: list[dict]) -> str:
     lines = []
     for r in rows:
         gap = (f"max abs {r['max_abs']:.3g}  max rel {r['max_rel']:.3g}"
+               f"  max scaled {r['max_scaled']:.3g}"
                if r["max_abs"] is not None
                else f"{r['values'][0]} against {r['values'][1]} values")
         lines.append(f"{r['name']:14s} {'equal  ' if r['equal'] else 'DIFFERS'}  {gap}\n"
                      f"  parent {r['parent_sha256']}\n  change {r['change_sha256']}")
     return "\n".join(lines)
+
+
+def numerics_pass(rows: list[dict], tol: float | None) -> bool:
+    """Whether every file is equal, or with ``tol`` holds as many numbers
+    as the parent's, each within ``tol`` scaled of it (NaN only at NaN)."""
+    return all(r["equal"] or (tol is not None and r["max_scaled"] is not None
+                              and r["max_scaled"] <= tol)
+               for r in rows)
 
 
 def run_numerics(parent: str, change: str, seed: int) -> list[dict]:
@@ -220,6 +236,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--numerics", action="store_true",
                     help="compare the checkouts' numbers, not their speed")
+    ap.add_argument("--tol", type=float,
+                    help="with --numerics, pass numbers within this scaled difference")
     ap.add_argument("--out", help="write every run and the summary to this JSON file")
     args = ap.parse_args()
     if args.numerics:
@@ -228,7 +246,9 @@ def main() -> int:
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump({"seed": args.seed, "numerics": rows}, fh, indent=1)
-        return 0 if all(r["equal"] for r in rows) else 1
+        return 0 if numerics_pass(rows, args.tol) else 1
+    if args.tol is not None:
+        ap.error("--tol goes with --numerics")
     if args.workload is None:
         ap.error("--workload is required without --numerics")
     metrics = end_to_end_metrics()

@@ -5,7 +5,8 @@ Each head owns a learnable temporal center mu and width sigma
 (softplus-parameterized with a floor) plus an affine scalar map applied to
 the kernel value; the resulting bias is added to the scaled content scores
 before the softmax. Several subgraphs are attended in one padded
-(B, heads, n_max, n_max) problem, one subgraph per batch entry.
+(B, heads, n_q, n_max) problem, one subgraph per batch entry, where the
+n_q queries are all n_max slots or only the leading ones (the seed).
 """
 
 from __future__ import annotations
@@ -83,28 +84,33 @@ class AttentionLayer(Module):
         self.out = Affine(f"{name}.out", d, d, rng)
         self.bias = GaussianBiasParams(f"{name}.bias", n_heads)
 
-    def attend(self, H: Tensor, batch: BatchedSubgraphs, *,
+    def attend(self, H: Tensor, batch: BatchedSubgraphs, *, n_queries: int | None = None,
                use_bias: bool = True, return_weights: bool = False):
         """Biased multi-head attention over each subgraph's complete graph.
 
-        ``H`` holds the node rows of the subgraphs of ``batch``. They are
-        padded into (B, heads, n_max, n_max) scores whose padded key columns
-        get ``MASK_NEG``, and the outputs are unpadded back to the rows of
-        ``H``, so no row attends outside its own subgraph. With
+        ``H`` holds the node rows of the subgraphs of ``batch``, and every
+        row is a key. The queries are the first ``n_queries`` slots of each
+        subgraph (slot 0 is its seed), or every row by default. Their
+        (B, heads, n_q, n_max) scores get ``MASK_NEG`` in the padded key
+        columns, so no row attends outside its own subgraph, and the
+        outputs come back one per query row, in row order. With
         ``return_weights`` the softmax weights come back too, one
-        (B, n_max, n_max) array per head. Dropout on the weights runs only
-        when the batch carries generators.
+        (B, n_q, n_max) array per head. Dropout on the weights runs only
+        when the batch carries generators; its masks are drawn for every
+        query and then cut to the ones asked for, so each subgraph's
+        generator draws the same whatever ``n_queries`` is.
         """
         B, n_max = batch.index.shape
+        mask = batch.dropout_mask((B, self.n_heads, n_max, n_max), self.dropout_rate)
         out, alpha = nc.attention_block(
             H, self.W_Q, self.W_K, self.W_V,
             # one |dt_i - dt_j| matrix per subgraph, shared by all heads
-            self.bias(batch.delta_days) if use_bias else None,
-            heads=self.n_heads, slot=batch.slot,
+            self.bias(batch.delta_days[:, :n_queries]) if use_bias else None,
+            heads=self.n_heads, slot=batch.slot, queries=batch.index[:, :n_queries],
             # padded keys get no weight, and padded query rows are dropped on
             # the way back, so padding passes no gradient to any parameter
             key_mask=np.where(batch.padded, MASK_NEG, 0.0),
-            mask=batch.dropout_mask((B, self.n_heads, n_max, n_max), self.dropout_rate))
+            mask=None if mask is None else np.ascontiguousarray(mask[:, :, :n_queries]))
         out = self.out(out)
         if return_weights:
             return out, [alpha[:, h].copy() for h in range(self.n_heads)]

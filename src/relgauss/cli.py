@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import logging.handlers
 import math
 import os
 import sys
@@ -26,6 +27,7 @@ import sys
 import numpy as np
 
 from . import numcore as nc
+from . import relstore
 from .model import AblationFlags, GelModel, ModelConfig
 from .oracles import ALL_CHECKS, run_suite
 from .relstore import (SchemaError, TableDataError, build_graph, load_schema,
@@ -330,17 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
+    # relstore's warnings (dangling keys) are held until the command ends and
+    # reach stderr only if it succeeds: a failing one prints its one line alone
+    held = logging.handlers.BufferingHandler(capacity=math.inf)
+    relstore.logger.addHandler(held)
+    relstore.logger.propagate = False
     try:
         # non-finite values end in one NumericAbort line, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.fn(args)
+            code = args.fn(args)
     except (ConfigError, SchemaError, TableDataError, nc.CheckpointError,
             MetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except NumericAbort as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code = EXIT_NUMERIC
+    finally:
+        relstore.logger.removeHandler(held)
+        relstore.logger.propagate = True
+    if code == EXIT_OK:
+        for record in held.buffer:
+            relstore.logger.handle(record)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

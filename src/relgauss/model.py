@@ -5,6 +5,16 @@ complete sampled graph and the GraphSAGE branch over the induced relational
 edges, then blends them with a single learned gate eta = logistic(eta_raw)
 shared across blocks. The seed-node row feeds a 2-layer perceptron head.
 
+The head reads nothing but the seed rows, so the last block computes only
+those: the seeds are its only attention queries (every row is still a key
+and value), its last GraphSAGE layer runs at the seeds alone (the earlier
+two, which feed the seeds' neighbour mean, run at every row), and the
+fusion runs on the seed rows. Every row the last block drops would have
+reached the score through nothing, so the maths is that of computing every
+row and keeping the seeds; only BLAS's rounding over fewer rows differs.
+Dropout masks are drawn for every row and cut to the seeds, so each
+subgraph's generator draws what it would draw for all rows.
+
 Subgraphs go through the model in batches: their node rows are stacked and
 the row-wise layers run on the stacked rows. Everything that mixes rows
 (attention, the GNN's neighbour mean, the positional GIN's neighbour sum)
@@ -128,15 +138,18 @@ class GelModel(Module):
         ``encode_subgraph``'s."""
         H = self.encoders.encode_subgraph(batch, graph, tables, run_seed, cache=cache)
         eta = self.eta()
-        for attn, gnn in zip(self.attn_layers, self.gnn_layers):
-            H_attn = attn.attend(H, batch, use_bias=not ablation.no_gaussian_bias)
+        last = len(self.attn_layers) - 1
+        for k, (attn, gnn) in enumerate(zip(self.attn_layers, self.gnn_layers)):
+            # the head reads only the seeds, slot 0 of each subgraph, so the
+            # last block computes their rows alone: (B, d) in batch order
+            n_queries = 1 if k == last else None
+            H_attn = attn.attend(H, batch, n_queries=n_queries,
+                                 use_bias=not ablation.no_gaussian_bias)
             if ablation.no_gnn_branch:
                 H = H_attn
             else:
-                H_gnn = gnn(H, batch)
-                H = fuse(H_attn, H_gnn, eta)
-        seed_rows = nc.rows(H, batch.seed_positions)
-        return self.head_a2(nc.gelu(self.head_a1(seed_rows))).reshape(-1)
+                H = fuse(H_attn, gnn(H, batch, n_queries), eta)
+        return self.head_a2(nc.gelu(self.head_a1(H))).reshape(-1)
 
 
 @dataclass
@@ -178,12 +191,22 @@ class BatchedSubgraphs:
         """(B, n_max, ...) stack of each subgraph's rows; padded slots hold row 0."""
         return nc.rows(X, np.where(self.padded, 0, self.index))
 
+    def query_rows(self, n_queries: int) -> np.ndarray:
+        """The rows at the first ``n_queries`` slots of each subgraph, in
+        row order; slot 0 holds the seed."""
+        index = self.index[:, :n_queries]
+        return index[index != PAD]
+
     def unpad(self, Y: Tensor) -> Tensor:
-        """The rows of a (B, n_max, ...) stack back in row order."""
-        return nc.rows(Y.reshape(-1, *Y.shape[2:]), self.slot)
+        """The rows of a (B, n_q, ...) stack of each subgraph's first n_q
+        slots back in row order, without the padded slots."""
+        flat = Y.reshape(-1, *Y.shape[2:])
+        slot = np.flatnonzero(~self.padded[:, :Y.shape[1]])
+        return flat if len(slot) == flat.shape[0] else nc.rows(flat, slot)
 
     def propagate(self, A: np.ndarray, X: Tensor) -> Tensor:
-        """Row i of subgraph b gets sum_j A[b, i, j] X_j over its own rows."""
+        """Row i of subgraph b gets sum_j A[b, i, j] X_j over its own rows;
+        an A of (B, n_q, n_max) gives the rows of the first n_q slots."""
         return self.unpad(nc.bmm(Tensor(A), self.pad(X)))
 
     def dropout_mask(self, shape: tuple[int, ...], rate: float) -> np.ndarray | None:

@@ -441,39 +441,48 @@ def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor
 
 def attention_block(H: Tensor, W_Q: Tensor, W_K: Tensor, W_V: Tensor,
                     bias: Tensor | None, *, heads: int, slot: np.ndarray,
-                    key_mask: np.ndarray, mask: np.ndarray | None = None,
-                    ) -> tuple[Tensor, np.ndarray]:
-    """Multi-head self-attention of rows within padded groups, as one tape node.
+                    key_mask: np.ndarray, queries: np.ndarray,
+                    mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Multi-head attention of rows within padded groups, as one tape node.
 
-    The rows of ``H`` (n, d) sit in a (B, n_max) stack of slots: row i in
-    flat slot ``slot[i]``; a slot without a row holds zeros. ``key_mask``
-    (B, n_max) is each key slot's additive score (0, or a large negative
-    number at a padded slot, so that it gets no weight). The projections
-    ``H @ W.T`` of W_Q, W_K and W_V are split into ``heads`` and placed in
-    the stack; the scores ``Q K^T / sqrt(d / heads)`` get ``bias`` (a
-    (B, heads, n_max, n_max) Tensor, or None) and the key mask, go through
-    a softmax over the keys and the (B, heads, n_max, n_max) multiplier
-    ``mask`` (e.g. a dropout mask), and weight V. Each row's output is read
-    back from its slot, so a padded slot passes no gradient.
+    Every row of ``H`` (n, d) is a key: row i sits in flat slot ``slot[i]``
+    of a (B, n_max) stack, and a slot without a row holds zeros.
+    ``key_mask`` (B, n_max) is each key slot's additive score (0, or a large
+    negative number at a padded slot, so that it gets no weight).
+    ``queries`` (B, n_q) names each group's query rows of ``H``, distinct,
+    with -1 where a group has fewer: the padded row index of the groups
+    computes every row, and its leading columns compute fewer. The
+    projections ``H @ W.T`` of W_Q (at the query rows only), W_K and W_V
+    are split into ``heads`` and placed in their stacks; the scores
+    ``Q K^T / sqrt(d / heads)`` get ``bias`` (a (B, heads, n_q, n_max)
+    Tensor, or None) and the key mask, go through a softmax over the keys
+    and the (B, heads, n_q, n_max) multiplier ``mask`` (e.g. a dropout
+    mask), and weight V. The outputs come back one per query row, in the
+    order of ``queries`` read row by row, so a padded slot passes no
+    gradient.
 
-    Returns the (n, d) output and the softmax weights, before ``mask``.
-    Every sum is taken in the order of the unfused ops (``linear``, a gather
-    into the stack, ``bmm``, a row softmax), so the outputs and gradients
-    are theirs bit for bit; the gradients reach ``H`` in Q, K, V order.
+    Returns the (number of queries, d) output and the softmax weights,
+    before ``mask``. Every sum is taken in the order of the unfused ops
+    (``linear``, a gather into the stack, ``bmm``, a row softmax), so the
+    outputs and gradients are theirs bit for bit; the gradients reach ``H``
+    in Q, K, V order.
     """
     n_rows, d = H.shape
     B, n_max = key_mask.shape
+    n_q = queries.shape[1]
+    q_slot = np.flatnonzero(queries >= 0)
+    q_rows = queries.ravel()[q_slot]
     head_dim = d // heads
 
-    def stack(W: Tensor) -> np.ndarray:
-        """(B, n_max, heads, head_dim) stack of the rows' projections."""
-        X = np.zeros((B * n_max, heads, head_dim))
-        X[slot] = (H.data @ W.data.T).reshape(n_rows, heads, head_dim)
-        return X.reshape(B, n_max, heads, head_dim)
+    def stack(X: np.ndarray, W: Tensor, at: np.ndarray, width: int) -> np.ndarray:
+        """(B, heads, width, head_dim) stack of the rows' projections."""
+        S = np.zeros((B * width, heads, head_dim))
+        S[at] = (X @ W.data.T).reshape(len(X), heads, head_dim)
+        return S.reshape(B, width, heads, head_dim).transpose(0, 2, 1, 3)
 
-    Q = stack(W_Q).transpose(0, 2, 1, 3)    # (B, heads, n_max, head_dim)
-    K_t = stack(W_K).transpose(0, 2, 3, 1)  # (B, heads, head_dim, n_max)
-    V = stack(W_V).transpose(0, 2, 1, 3)
+    Q = stack(H.data[q_rows], W_Q, q_slot, n_q)
+    K_t = np.swapaxes(stack(H.data, W_K, slot, n_max), -1, -2)  # keys on the last axis
+    V = stack(H.data, W_V, slot, n_max)
     scale = 1.0 / math.sqrt(head_dim)
     scores = np.matmul(Q, K_t) * scale
     if bias is not None:
@@ -484,12 +493,12 @@ def attention_block(H: Tensor, W_Q: Tensor, W_K: Tensor, W_V: Tensor,
     alpha = e / e.sum(axis=-1, keepdims=True)
     weights = alpha if mask is None else alpha * mask
     Y = np.matmul(weights, V)
-    out = Y.transpose(0, 2, 1, 3).reshape(B * n_max, d)[slot]
+    out = Y.transpose(0, 2, 1, 3).reshape(B * n_q, d)[q_slot]
 
     def backward(g):
-        gY = np.zeros((B * n_max, d))
-        gY[slot] = g
-        gY = gY.reshape(B, n_max, heads, head_dim).transpose(0, 2, 1, 3)
+        gY = np.zeros((B * n_q, d))
+        gY[q_slot] = g
+        gY = gY.reshape(B, n_q, heads, head_dim).transpose(0, 2, 1, 3)
         g_weights = gY @ np.swapaxes(V, -1, -2)
         gV = np.swapaxes(weights, -1, -2) @ gY
         g_alpha = g_weights if mask is None else g_weights * mask
@@ -500,13 +509,17 @@ def attention_block(H: Tensor, W_Q: Tensor, W_K: Tensor, W_V: Tensor,
         g_scaled = g_scores * scale
         gQ = g_scaled @ np.swapaxes(K_t, -1, -2)
         gK_t = np.swapaxes(Q, -1, -2) @ g_scaled
-        for W, gX in ((W_Q, gQ.transpose(0, 2, 1, 3)), (W_K, gK_t.transpose(0, 3, 1, 2)),
-                      (W_V, gV.transpose(0, 2, 1, 3))):
-            g_rows = gX.reshape(B * n_max, d)[slot]
+        every_row = np.arange(n_rows)
+        for W, gX, at, rows in ((W_Q, gQ, q_slot, q_rows),
+                                (W_K, np.swapaxes(gK_t, -1, -2), slot, every_row),
+                                (W_V, gV, slot, every_row)):
+            g_rows = gX.transpose(0, 2, 1, 3).reshape(-1, d)[at]
             if H.requires_grad:
-                H._accum(g_rows @ W.data)
+                gH = np.zeros((n_rows, d))
+                gH[rows] = g_rows @ W.data
+                H._accum(gH)
             if W.requires_grad:
-                W._accum(g_rows.T @ H.data)
+                W._accum(g_rows.T @ H.data[rows])
 
     parents = (H, W_Q, W_K, W_V) + ((bias,) if bias is not None else ())
     return Tensor._make(out, parents, backward), alpha
@@ -517,8 +530,8 @@ def gaussian_bias(delta_days: np.ndarray, mu: Tensor, rho: Tensor,
                   sigma_min: float = 0.0) -> Tensor:
     """Fused all-heads Gaussian temporal bias over pairwise-delta matrices.
 
-    For deltas ``D`` of shape (..., n, n) and per-head vectors of length H,
-    computes the (..., H, n, n) stack
+    For deltas ``D`` of shape (..., m, n) and per-head vectors of length H,
+    computes the (..., H, m, n) stack
     ``scale[h] * exp(-(D - mu[h])^2 / (2 sigma[h]^2)) + shift[h]`` with
     ``sigma = softplus(rho) + sigma_min`` as a single tape node; the
     backward rule uses the closed-form kernel derivatives

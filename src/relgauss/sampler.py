@@ -92,18 +92,19 @@ def refinement_query(candidates: np.ndarray, config: SamplingConfig) -> np.ndarr
 
 
 def semantic_refine(graph: RelGraph, seed_time: float, candidates: np.ndarray,
-                    embeddings, config: SamplingConfig) -> SampledSubgraph:
+                    embeddings: np.ndarray, config: SamplingConfig) -> SampledSubgraph:
     """Top-k refinement of 2-hop (and deeper) candidates; 1-hop always kept.
 
-    ``candidates`` are stage 1's rows, the seed first. ``embeddings`` maps
-    an int array of nodes to their (k, d) embeddings; the nodes of
-    ``refinement_query`` are embedded in one call.
+    ``candidates`` are stage 1's rows, the seed first. ``embeddings`` holds
+    the (k, d) embeddings of the nodes of ``refinement_query``, row for row.
     """
     keep = candidates[:, 1] <= 1
     query = refinement_query(candidates, config)
+    if len(embeddings) != len(query):
+        raise ValueError(f"{len(embeddings)} embeddings for the {len(query)} nodes "
+                         f"refinement ranks")
     if len(query):
-        E = embeddings(query)
-        sims = E[1:] @ E[0]
+        sims = embeddings[1:] @ embeddings[0]
         order = np.lexsort((query[1:], -sims))  # similarity descending, then id
         room = config.stage2_keep - np.count_nonzero(keep)
         keep[np.flatnonzero(~keep)[order[:room]]] = True
@@ -144,10 +145,12 @@ def stage1(graph: RelGraph, seed: int, seed_time: float, config: SamplingConfig,
     return candidates
 
 
-def sample(graph: RelGraph, seed_time: float, candidates: np.ndarray, embeddings,
-           config: SamplingConfig, *, skip_refinement: bool = False) -> SampledSubgraph:
+def sample(graph: RelGraph, seed_time: float, candidates: np.ndarray,
+           embeddings: np.ndarray | None, config: SamplingConfig, *,
+           skip_refinement: bool = False) -> SampledSubgraph:
     """The subgraph of stage 1's ``candidates``: refined by ``embeddings``,
-    or with ``skip_refinement`` the whole candidate set."""
+    the rows of their ``refinement_query``, or with ``skip_refinement`` the
+    whole candidate set (``embeddings`` unread)."""
     if skip_refinement:
         return _finalize(graph, seed_time, candidates)
     return semantic_refine(graph, seed_time, candidates, embeddings, config)

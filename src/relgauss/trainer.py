@@ -225,7 +225,8 @@ def sample_rows(graph: RelGraph, schema: DatabaseSchema, tables: TableData,
 
     Stage 1 runs for every row first; then one ``embed`` call fills the
     cache with every node that refinement will rank (``refinement_query``
-    of each row), so each row is refined from cache hits. ``stream``, the
+    of each row) and returns their rows, and each row is refined from its
+    own slice of them. ``stream``, the
     (run seed, epoch) pair, keys each row's own random stage-1 draw; eval
     passes epoch 0, which no training epoch is."""
     task = schema.task
@@ -235,11 +236,14 @@ def sample_rows(graph: RelGraph, schema: DatabaseSchema, tables: TableData,
                np.random.default_rng([*stream, row, 3])
                if ablation.no_structural_sampling else None)
         for row in rows]
+    embeddings = [None] * len(rows)
     if not ablation.no_semantic_refinement:
-        embed(np.concatenate([refinement_query(c, samp_cfg) for c in candidates]))
-    return [sample(graph, float(times[row]), c, embed, samp_cfg,
+        queries = [refinement_query(c, samp_cfg) for c in candidates]
+        embeddings = np.split(embed(np.concatenate(queries)),
+                              np.cumsum([len(q) for q in queries[:-1]]))
+    return [sample(graph, float(times[row]), c, e, samp_cfg,
                    skip_refinement=ablation.no_semantic_refinement)
-            for row, c in zip(rows, candidates)]
+            for row, c, e in zip(rows, candidates, embeddings)]
 
 
 def predict_rows(model: GelModel, graph: RelGraph, schema: DatabaseSchema,

@@ -7,7 +7,7 @@ import pytest
 
 from relgauss.model import batch_subgraphs
 from relgauss.relstore import build_graph, load_schema, load_tables
-from relgauss.sampler import SampledSubgraph, sample, stage1
+from relgauss.sampler import SampledSubgraph, refinement_query, sample, stage1
 from relgauss.synthgen import write_db
 
 
@@ -21,9 +21,12 @@ def generate_db(config, out_dir: str):
 def sample_seed(graph, seed, seed_time, embeddings, config, *, rng=None,
                 skip_refinement=False) -> SampledSubgraph:
     """Both sampling stages for one seed node, as ``trainer.sample_rows`` runs
-    them for a row: ``rng`` is the random stage-1 draw's generator."""
-    return sample(graph, seed_time, stage1(graph, seed, seed_time, config, rng),
-                  embeddings, config, skip_refinement=skip_refinement)
+    them for a row: ``rng`` is the random stage-1 draw's generator, and
+    ``embeddings`` maps an int array of nodes to their (k, d) embeddings."""
+    candidates = stage1(graph, seed, seed_time, config, rng)
+    rows = None if skip_refinement else embeddings(refinement_query(candidates, config))
+    return sample(graph, seed_time, candidates, rows, config,
+                  skip_refinement=skip_refinement)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray,

@@ -61,3 +61,28 @@ def test_numerics_comparison_of_fixed_files():
     json.dumps([scores, recs, metrics])  # --out writes the rows as they are
     text = bench_pairs.format_numerics([scores, recs, metrics])
     assert text.count("DIFFERS") == 2 and "4 against 2 values" in text
+
+
+def test_numerics_pass_within_a_scaled_tolerance():
+    """A scaled difference is |change - parent| / max(1, |parent|): a weight
+    near 0 that moves by 2e-15 reads a relative difference of 1.5 and a
+    scaled one of 2e-15."""
+    parent = {"checkpoint.bin": np.array([1.3e-15, 4.0, -1e3, np.nan]).astype("<f8").tobytes(),
+              "records.json": b'[{"eta": 0.5}]'}
+    change = {"checkpoint.bin": np.array([3.3e-15, 4.0 + 8e-15, -1e3 - 5e-10,
+                                          np.nan]).astype("<f8").tobytes(),
+              "records.json": b'[{"eta": 0.5}]'}
+    ckpt, recs = rows = bench_pairs.compare_numerics(parent, change)
+    assert not ckpt["equal"] and recs["equal"]
+    assert ckpt["max_rel"] == pytest.approx(1.538, abs=1e-3)
+    assert ckpt["max_scaled"] == pytest.approx(5e-13, rel=1e-3)
+    assert recs["max_scaled"] == 0.0
+    assert "max scaled 5e-13" in bench_pairs.format_numerics(rows)
+    assert not bench_pairs.numerics_pass(rows, None)
+    assert bench_pairs.numerics_pass(rows, 1e-12)
+    assert not bench_pairs.numerics_pass(rows, 1e-13)
+    # a NaN against a number, or a different count, passes no tolerance
+    for data in (np.array([1.3e-15, 4.0, -1e3, 0.0]), np.array([1.3e-15, 4.0, -1e3])):
+        moved = bench_pairs.compare_numerics(
+            parent, dict(change, **{"checkpoint.bin": data.astype("<f8").tobytes()}))
+        assert not bench_pairs.numerics_pass(moved, 1.0)

@@ -816,6 +816,47 @@ def test_unwritable_out_exits_2_naming_the_path(gen_dir, tmp_path, capsys, comma
     assert str(tmp_path / out) in err
 
 
+@pytest.fixture(scope="module")
+def headless_db(gen_dir, tmp_path_factory):
+    """``gen_dir`` with ``entities.csv`` cut to its header: every event's
+    foreign keys dangle, and there is no target row."""
+    db = tmp_path_factory.mktemp("headless") / "db"
+    shutil.copytree(gen_dir, db)
+    header = (db / "entities.csv").read_text().splitlines()[0]
+    (db / "entities.csv").write_text(header + "\n")
+    return db
+
+
+def run_child(*argv) -> subprocess.CompletedProcess:
+    """``relgauss`` in a child process, whose stderr gets what logging
+    prints where no handler is set up, as in a shell."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    return subprocess.run([sys.executable, "-m", "relgauss.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("command", ["sample", "train", "eval"])
+def test_a_failing_command_prints_its_error_alone(headless_db, trained, tmp_path,
+                                                  command):
+    """The dangling-key warning of loading the database is held back when
+    the command then exits 2."""
+    out, _ = trained
+    argv = {"sample": ["--row", "0"],
+            "train": ["--out", str(tmp_path / "r"), "--quiet"],
+            "eval": ["--checkpoint", str(out / "r1" / "checkpoint")]}[command]
+    proc = run_child(command, "--data", str(headless_db), *argv)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert_one_error_line(proc.stderr)
+
+
+def test_ingest_of_a_headless_table_still_warns(headless_db):
+    proc = run_child("ingest", "--data", str(headless_db))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    n = json.loads(proc.stdout)["dangling_foreign_keys"]
+    assert n > 0
+    assert proc.stderr.splitlines() == [f"dropped {n} dangling foreign-key edges"]
+
+
 @pytest.mark.parametrize("command", ["sample", "train"])
 def test_a_closed_stdout_exits_nonzero_with_at_most_one_line(gen_dir, tmp_path, command):
     cfg = tmp_path / "cfg.json"

@@ -168,7 +168,8 @@ def softmax_of(logits: Tensor) -> Tensor:
     n = logits.shape[-1]
     zero, eye = Tensor(np.zeros((n, n))), Tensor(np.eye(n))
     out, _ = nc.attention_block(eye, zero, zero, eye, logits.reshape(1, 1, n, n), heads=1,
-                                slot=np.arange(n), key_mask=np.zeros((1, n)))
+                                slot=np.arange(n), key_mask=np.zeros((1, n)),
+                                queries=np.arange(n)[None])
     return out
 
 
@@ -380,7 +381,7 @@ def test_attention_block_is_bitwise_its_composition_with_exact_gradients(sizes, 
 
     def block():
         return nc.attention_block(H, W_Q, W_K, W_V, bias, heads=heads, slot=slot,
-                                  key_mask=key_mask, mask=mask)
+                                  key_mask=key_mask, queries=index, mask=mask)
 
     out, alpha = block()
     expect, expect_alpha = unfused_attention(H.data, W_Q.data, W_K.data, W_V.data,
@@ -395,6 +396,48 @@ def test_attention_block_is_bitwise_its_composition_with_exact_gradients(sizes, 
                                   0.0)
     params = [H, W_Q, W_K, W_V] + ([bias] if biased else [])
     finite_check(lambda: (block()[0] * Tensor(weights)).sum(), params)
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (1, 3, 2)], ids=["padded", "a-lone-seed"])
+def test_attention_block_at_the_seeds_is_the_full_block_at_the_seeds(sizes):
+    """Queries cut to the first slot of each group, with bias and mask cut
+    to match: each group's seed row of the all-rows block, and the same
+    gradients, those of the rows that are no query included."""
+    rng = np.random.default_rng(15)
+    d, heads = 4, 2
+    index, slot = padded_layout(sizes)
+    B, n_max = index.shape
+    H = Parameter(rng.normal(size=(sum(sizes), d)), "H")
+    W_Q, W_K, W_V = (Parameter(rng.normal(size=(d, d)), name) for name in ("Q", "K", "V"))
+    bias = Parameter(rng.normal(size=(B, heads, n_max, n_max)), "bias")
+    seed_bias = Parameter(bias.data[:, :, :1].copy(), "seed_bias")
+    key_mask = np.where(index >= 0, 0.0, MASK_NEG)
+    mask = (rng.random((B, heads, n_max, n_max)) >= 0.3) / 0.7
+    weights = Tensor(rng.normal(size=(B, d)))
+    seeds = index[:, 0]
+
+    def block(b, n_q):
+        return nc.attention_block(H, W_Q, W_K, W_V, b, heads=heads, slot=slot,
+                                  key_mask=key_mask, queries=index[:, :n_q],
+                                  mask=mask[:, :, :n_q])
+
+    shared = [H, W_Q, W_K, W_V]
+    nc.zero_grad(shared + [bias, seed_bias])
+    out, alpha = block(seed_bias, 1)
+    nc.backward((out * weights).sum())
+    at_seeds = [p.grad.copy() for p in shared]
+    nc.zero_grad(shared)
+    full, full_alpha = block(bias, n_max)
+    nc.backward((nc.rows(full, seeds) * weights).sum())
+    assert out.shape == (B, d) and alpha.shape == (B, heads, 1, n_max)
+    np.testing.assert_allclose(out.data, full.data[seeds], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alpha, full_alpha[:, :, :1], rtol=0, atol=1e-12)
+    for p, g in zip(shared, at_seeds):
+        np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12, err_msg=p.name)
+    np.testing.assert_allclose(seed_bias.grad, bias.grad[:, :, :1], rtol=0, atol=1e-12)
+    assert not bias.grad[:, :, 1:].any()
+    # the keys and values of the other rows pass gradient too
+    assert np.any(at_seeds[0][np.setdiff1d(np.arange(sum(sizes)), seeds)] != 0)
 
 
 def test_leaf_gradients_accumulate_across_backward_calls():

@@ -6,7 +6,7 @@ import pytest
 from conftest import generate_db, sample_seed
 from relgauss.model import batch_subgraphs
 from relgauss.relstore import CsrAdjacency, RelGraph, build_graph
-from relgauss.sampler import (SamplingConfig, semantic_refine,
+from relgauss.sampler import (SamplingConfig, refinement_query, semantic_refine,
                               structural_sample, subgraph_to_dict)
 from relgauss.synthgen import SynthConfig
 
@@ -94,7 +94,8 @@ def test_semantic_refine_keeps_seed_and_all_one_hop(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
     emb = np.arange(9.0)[:, None]
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=5)
-    sub = semantic_refine(star_graph, 100.0, candidates, emb.__getitem__, cfg)
+    sub = semantic_refine(star_graph, 100.0, candidates,
+                          emb[refinement_query(candidates, cfg)], cfg)
     kept = set(sub.nodes.tolist())
     assert {0, 1, 2, 3} <= kept
     assert sub.n_nodes == 5
@@ -105,7 +106,8 @@ def test_semantic_refine_ranks_two_hop_by_similarity_desc(star_graph):
     # seed embedding [1]; similarity of node n is 1+n, so 8 then 7 win
     emb = 1.0 + np.arange(9.0)[:, None]
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=6)
-    sub = semantic_refine(star_graph, 100.0, candidates, emb.__getitem__, cfg)
+    sub = semantic_refine(star_graph, 100.0, candidates,
+                          emb[refinement_query(candidates, cfg)], cfg)
     two_hop = sorted(sub.nodes[sub.hop == 2].tolist())
     assert two_hop == [7, 8]
 
@@ -114,16 +116,20 @@ def test_semantic_refine_tie_breaks_by_ascending_id(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
     emb = np.ones((9, 1))  # all equally similar
     cfg = SamplingConfig(stage1_budget=300, stage2_keep=6)
-    sub = semantic_refine(star_graph, 100.0, candidates, emb.__getitem__, cfg)
+    sub = semantic_refine(star_graph, 100.0, candidates,
+                          emb[refinement_query(candidates, cfg)], cfg)
     assert sorted(sub.nodes[sub.hop == 2].tolist()) == [5, 6]
 
 
-def test_refine_accepts_callable_embeddings(star_graph):
+def test_refine_takes_the_rows_of_refinement_query(star_graph):
     candidates = structural_sample(star_graph, 0, 100.0, SamplingConfig())
     cfg = SamplingConfig(stage2_keep=6)
-    sub = semantic_refine(star_graph, 100.0, candidates,
-                          lambda nodes: 1.0 + nodes[:, None], cfg)
+    query = refinement_query(candidates, cfg)
+    sub = semantic_refine(star_graph, 100.0, candidates, 1.0 + query[:, None], cfg)
     assert sorted(sub.nodes[sub.hop == 2].tolist()) == [7, 8]
+    # a row per graph node is not a row per ranked node
+    with pytest.raises(ValueError, match=f"9 embeddings for the {len(query)} nodes"):
+        semantic_refine(star_graph, 100.0, candidates, 1.0 + np.arange(9.0)[:, None], cfg)
 
 
 def test_subgraph_layout_and_delta_t(star_graph):

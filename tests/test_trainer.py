@@ -1,4 +1,5 @@
 import copy
+import functools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import sample_seed
 from relgauss import numcore as nc
 from relgauss import trainer
-from relgauss.model import AblationFlags, GelModel, ModelConfig, batch_subgraphs
+from relgauss.model import AblationFlags, GelModel, ModelConfig, batch_subgraphs, fuse
 from relgauss.model import loss as loss_fn
 from relgauss.numcore import Parameter
 from relgauss.relstore import build_graph, load_schema, load_tables
@@ -307,7 +308,7 @@ def tape_nodes(loss) -> int:
     return len(seen)
 
 
-def test_a_train_bench_micro_batch_builds_at_most_100_tape_nodes(small_setup):
+def test_a_train_bench_micro_batch_builds_at_most_99_tape_nodes(small_setup):
     """The perfbench train-bench model and sampling configs, 8 examples."""
     schema, tables, graph, splits = small_setup
     model = GelModel(ModelConfig(d=64, n_layers=2, n_heads=4, pe_dim=16), schema, tables)
@@ -320,7 +321,7 @@ def test_a_train_bench_micro_batch_builds_at_most_100_tape_nodes(small_setup):
     scores = model.forward_batch(batch_subgraphs(subs, rngs), tables, graph)
     loss = loss_fn(scores, trainer._target_values(schema, tables)[rows],
                    schema.task.kind).sum()
-    assert tape_nodes(loss) <= 100
+    assert tape_nodes(loss) <= 99
 
 
 def test_micro_batch_changes_speed_only(small_setup):
@@ -521,6 +522,30 @@ def test_a_predict_rows_request_fills_the_cache_once(small_setup, monkeypatch):
     assert calls["_encode_tabular"] == calls["node_embedding"]
 
 
+def test_sample_rows_reads_the_cache_once(small_setup, monkeypatch):
+    """Each row refines from its slice of the one fill's rows and gathers
+    nothing from the cache again."""
+    schema, tables, graph, splits = small_setup
+    model = GelModel(DEEP_MODEL, schema, tables)
+    embed = EmbeddingCache(model, graph, tables)
+    calls = []
+    fill = EmbeddingCache.__call__
+
+    def counted(self, nodes):
+        calls.append(len(nodes))
+        return fill(self, nodes)
+
+    monkeypatch.setattr(EmbeddingCache, "__call__", counted)
+    rows = [int(r) for r in splits[2][:8]]
+    subs = trainer.sample_rows(graph, schema, tables, rows, embed, DEEP, AblationFlags(),
+                               (0, 0))
+    assert len(calls) == 1 and calls[0] > len(rows)
+    monkeypatch.undo()
+    alone = [trainer.sample_rows(graph, schema, tables, [r], embed, DEEP, AblationFlags(),
+                                 (0, 0))[0] for r in rows]
+    assert [s.nodes.tolist() for s in subs] == [s.nodes.tolist() for s in alone]
+
+
 ABLATIONS = [AblationFlags(), AblationFlags(no_structural_sampling=True),
              AblationFlags(no_semantic_refinement=True),
              AblationFlags(no_gaussian_bias=True), AblationFlags(no_gnn_branch=True)]
@@ -562,6 +587,95 @@ def test_eval_scores_from_the_cached_channel_match_the_encoded_one(small_setup,
             alone.append(model.forward_batch(batch_subgraphs([sub]), tables, graph,
                                              ablation=ablation).data[0])
     np.testing.assert_allclose(scores, alone, rtol=0, atol=1e-12)
+
+
+SEED_MODEL = ModelConfig(d=16, n_layers=2, n_heads=2, pe_dim=4)
+BENCH_SAMPLING = SamplingConfig(stage1_budget=32, stage2_keep=20)  # train-bench's
+
+
+def scores_at_every_row(model, batch, tables, graph, *, ablation, cache=None):
+    """The scores of ``batch`` with every block computed at every row
+    (``attend`` and ``GnnBranch`` at their defaults) and the seeds' rows
+    taken for the head: what the last block's seed-only rows must give."""
+    H = model.encoders.encode_subgraph(batch, graph, tables, 0, cache=cache)
+    eta = model.eta()
+    for attn, gnn in zip(model.attn_layers, model.gnn_layers):
+        H_attn = attn.attend(H, batch, use_bias=not ablation.no_gaussian_bias)
+        H = H_attn if ablation.no_gnn_branch else fuse(H_attn, gnn(H, batch), eta)
+    seeds = nc.rows(H, batch.seed_positions)
+    return model.head_a2(nc.gelu(model.head_a1(seeds))).reshape(-1)
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda a: a.name)
+def test_eval_scores_of_the_seed_only_last_block_match_every_row(small_setup, ablation):
+    schema, tables, graph, splits = small_setup
+    model = GelModel(SEED_MODEL, schema, tables)
+    for attn in model.attn_layers:  # a bias that varies over the deltas
+        attn.bias.mu.data[:] = [3.0, 40.0]
+    rows = [int(r) for r in splits[0][:16]]
+    embed = EmbeddingCache(model, graph, tables)
+    scores = predict_rows(model, graph, schema, tables, rows, embed, BENCH_SAMPLING,
+                          ablation, 0, micro_batch=8)
+    want = []
+    with nc.no_grad():
+        for lo in (0, 8):
+            subs = trainer.sample_rows(graph, schema, tables, rows[lo:lo + 8], embed,
+                                       BENCH_SAMPLING, ablation, (0, 0))
+            assert len({s.n_nodes for s in subs}) > 1  # the batch is padded
+            want.append(scores_at_every_row(model, batch_subgraphs(subs), tables, graph,
+                                            ablation=ablation, cache=embed).data)
+    np.testing.assert_allclose(scores, np.concatenate(want), rtol=0, atol=1e-12)
+
+
+def test_training_gradients_of_the_seed_only_last_block_match_every_row(small_setup):
+    """One micro-batch with dropout: the masks are drawn for every row and
+    cut to the seeds, so both forwards drop the same cells."""
+    schema, tables, graph, splits = small_setup
+    model = GelModel(SEED_MODEL, schema, tables)
+    rows = [int(r) for r in splits[0][:8]]
+    embed = EmbeddingCache(model, graph, tables)
+    subs = trainer.sample_rows(graph, schema, tables, rows, embed, BENCH_SAMPLING,
+                               AblationFlags(), (0, 1))
+    targets = trainer._target_values(schema, tables)[rows]
+    params = model.parameters()
+    grads, scores = [], []
+    for forward in (model.forward_batch, functools.partial(scores_at_every_row, model)):
+        nc.zero_grad(params.values())
+        rngs = [np.random.default_rng([0, 1, r, 1]) for r in rows]
+        out = forward(batch_subgraphs(subs, rngs), tables, graph, ablation=AblationFlags())
+        nc.backward(loss_fn(out, targets, schema.task.kind).sum())
+        grads.append({name: p.grad.copy() for name, p in params.items()})
+        scores.append(out.data)
+    np.testing.assert_allclose(scores[0], scores[1], rtol=0, atol=1e-12)
+    with nc.no_grad():  # dropout ran in training
+        assert not np.allclose(model.forward_batch(batch_subgraphs(subs), tables, graph).data,
+                               scores[0])
+    for name, p in params.items():
+        got, want = grads[0][name], grads[1][name]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
+    assert np.abs(grads[0]["layer1.gnn.sage2.W_self"]).max() > 0
+
+
+def test_the_last_blocks_bias_is_taken_at_the_seeds_only(small_setup, monkeypatch):
+    schema, tables, graph, splits = small_setup
+    model = GelModel(SEED_MODEL, schema, tables)
+    rows = [int(r) for r in splits[0][:8]]
+    batch = batch_subgraphs(trainer.sample_rows(
+        graph, schema, tables, rows, EmbeddingCache(model, graph, tables), BENCH_SAMPLING,
+        AblationFlags(), (0, 1)))
+    shapes = []
+    gaussian_bias = nc.gaussian_bias
+
+    def recording(*args, **kwargs):
+        out = gaussian_bias(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(nc, "gaussian_bias", recording)
+    with nc.no_grad():
+        model.forward_batch(batch, tables, graph)
+    B, n_max = batch.index.shape
+    assert shapes == [(B, 2, n_max, n_max), (B, 2, 1, n_max)]
 
 
 def test_a_cache_with_gradients_on_raises(small_setup):
