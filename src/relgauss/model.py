@@ -18,8 +18,8 @@ subgraph's generator draws what it would draw for all rows.
 Subgraphs go through the model in batches: their node rows are stacked and
 the row-wise layers run on the stacked rows. Everything that mixes rows
 (attention, the GNN's neighbour mean, the positional GIN's neighbour sum)
-runs on each subgraph on its own, on a (B, n_max, ...) stack gathered
-through a padded row index and scattered back to the rows.
+runs on each subgraph on its own, in one fused op on a zero-padded
+(B, n_max, ...) stack of its rows.
 
 The model and its layers are ``nc.Module``s. ``GelModel.parameters()``
 maps each parameter's name, its name in a checkpoint, to the parameter.
@@ -156,9 +156,9 @@ class GelModel(Module):
 class BatchedSubgraphs:
     """Several sampled subgraphs with their node rows stacked in order.
 
-    Anything that mixes rows does so per subgraph on a padded stack:
-    ``pad`` gathers the rows into (B, n_max, ...) and ``unpad`` takes them
-    back, dropping the padded slots. In training ``rngs`` holds one generator
+    Anything that mixes rows does so per subgraph, in one fused op on a
+    (B, n_max, ...) stack where row k sits at flat slot ``slot[k]`` and
+    ``index`` names each slot's row. In training ``rngs`` holds one generator
     per subgraph, which draws that subgraph's dropout masks over its own
     cells only, so they do not depend on the rest of the batch or on n_max.
     """
@@ -187,27 +187,16 @@ class BatchedSubgraphs:
         """``adjacency`` with each row divided by its degree (isolated: 0)."""
         return self.adjacency / np.maximum(self.adjacency.sum(axis=-1, keepdims=True), 1.0)
 
-    def pad(self, X: Tensor) -> Tensor:
-        """(B, n_max, ...) stack of each subgraph's rows; padded slots hold row 0."""
-        return nc.rows(X, np.where(self.padded, 0, self.index))
-
     def query_rows(self, n_queries: int) -> np.ndarray:
         """The rows at the first ``n_queries`` slots of each subgraph, in
         row order; slot 0 holds the seed."""
         index = self.index[:, :n_queries]
         return index[index != PAD]
 
-    def unpad(self, Y: Tensor) -> Tensor:
-        """The rows of a (B, n_q, ...) stack of each subgraph's first n_q
-        slots back in row order, without the padded slots."""
-        flat = Y.reshape(-1, *Y.shape[2:])
-        slot = np.flatnonzero(~self.padded[:, :Y.shape[1]])
-        return flat if len(slot) == flat.shape[0] else nc.rows(flat, slot)
-
     def propagate(self, A: np.ndarray, X: Tensor) -> Tensor:
         """Row i of subgraph b gets sum_j A[b, i, j] X_j over its own rows;
         an A of (B, n_q, n_max) gives the rows of the first n_q slots."""
-        return self.unpad(nc.bmm(Tensor(A), self.pad(X)))
+        return nc.propagate(A, X, slot=self.slot, queries=self.index[:, :A.shape[1]])
 
     def dropout_mask(self, shape: tuple[int, ...], rate: float) -> np.ndarray | None:
         """Inverted-scaling dropout multiplier of an array of ``shape``: None

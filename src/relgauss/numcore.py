@@ -214,20 +214,29 @@ class Module:
 # ---------------------------------------------------------------------------
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Stacked matrix product over the last two axes; leading axes broadcast."""
-    a = Tensor._coerce(a)
-    b = Tensor._coerce(b)
-    if min(len(a.shape), len(b.shape)) < 2 or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"bmm shape mismatch: {a.shape} @ {b.shape}")
+def propagate(A: np.ndarray, X: Tensor, *, slot: np.ndarray, queries: np.ndarray) -> Tensor:
+    """``A @ X`` within each padded group of rows, as one tape node.
+
+    Row k of ``X`` (n, d) sits in flat slot ``slot[k]`` of a zero-filled
+    (B, n_max) stack times ``A`` (B, n_q, n_max), which is 0 in every padded
+    column. The outputs are the rows of ``queries`` (B, n_q), the padded
+    row index of the rows to compute (-1 for none), read row by row; with
+    no -1 there, the product itself, ungathered.
+    """
+    B, n_q, n_max = A.shape
+    d = X.shape[1]
+    S = np.zeros((B * n_max, d))
+    S[slot] = X.data
+    Y = np.matmul(A, S.reshape(B, n_max, d)).reshape(B * n_q, d)
+    q_slot = np.flatnonzero(queries >= 0)
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        gY = np.zeros((B * n_q, d))
+        gY[q_slot] = g
+        gS = np.swapaxes(A, -1, -2) @ gY.reshape(B, n_q, d)
+        X._accum(gS.reshape(B * n_max, d)[slot])
 
-    return Tensor._make(np.matmul(a.data, b.data), (a, b), backward)
+    return Tensor._make(Y if len(q_slot) == len(Y) else Y[q_slot], (X,), backward)
 
 
 def rows(table: Tensor, idx) -> Tensor:
@@ -463,9 +472,9 @@ def attention_block(H: Tensor, W_Q: Tensor, W_K: Tensor, W_V: Tensor,
 
     Returns the (number of queries, d) output and the softmax weights,
     before ``mask``. Every sum is taken in the order of the unfused ops
-    (``linear``, a gather into the stack, ``bmm``, a row softmax), so the
-    outputs and gradients are theirs bit for bit; the gradients reach ``H``
-    in Q, K, V order.
+    (``linear``, a gather into the stack, a batched product, a row
+    softmax), so the outputs and gradients are theirs bit for bit; the
+    gradients reach ``H`` in Q, K, V order.
     """
     n_rows, d = H.shape
     B, n_max = key_mask.shape

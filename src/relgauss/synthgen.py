@@ -76,6 +76,8 @@ class SynthConfig:
             raise ValueError("w must be positive")
         if not 0.0 <= self.noise_event_fraction <= 1.0:
             raise ValueError("noise_event_fraction must be in [0,1]")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.seed_lead_seconds is None:
             self.seed_lead_seconds = 6 * self.w
 

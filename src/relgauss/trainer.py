@@ -48,8 +48,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be >= 0")
+        if not 0 <= self.rng_seed < 2**64:
+            raise ValueError("rng_seed must be in [0, 2**64)")
 
 
 @dataclass

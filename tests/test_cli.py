@@ -282,6 +282,23 @@ def test_train_invalid_config_value_exits_2(gen_dir, tmp_path, capsys, raw, fiel
     assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0]
 
 
+@pytest.mark.parametrize("command, seed, config", [
+    ("gen", -1, "SynthConfig"),
+    # positional features key on the seed mod 2**64, every numpy stream on all of it
+    ("train", 2**64, "TrainConfig"),
+])
+def test_a_seed_out_of_range_exits_2(gen_dir, tmp_path, capsys, command, seed, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG if command == "train" else {"n_entities": 30}))
+    args = ["--data", str(gen_dir), "--quiet"] if command == "train" else []
+    code, _, err = run(capsys, command, *args, "--config", str(cfg),
+                       "--out", str(tmp_path / "out"), "--seed", str(seed))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert f"invalid {config}: rng_seed" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, raw, field", [
     ("train", {"train": {"lr": float("nan")}}, "lr"),
     ("train", {"train": {"bias_lr_multiplier": float("inf")}}, "bias_lr_multiplier"),

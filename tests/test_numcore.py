@@ -64,15 +64,6 @@ def test_matmul_gradient():
     finite_check(lambda: square_sum(nc.linear(a, b)), [a, b])
 
 
-def test_bmm_gradients():
-    rng = np.random.default_rng(1)
-    a = Parameter(rng.normal(size=(2, 3, 5, 4)), "a")
-    b = Parameter(rng.normal(size=(3, 4, 2)), "b")  # broadcast over axis 0
-    finite_check(lambda: square_sum(nc.bmm(a, b)), [a, b])
-    with pytest.raises(ValueError, match="bmm shape mismatch"):
-        nc.bmm(b, a)
-
-
 def test_gaussian_bias_all_heads_values_and_gradient():
     rng = np.random.default_rng(2)
     delta = rng.uniform(0.0, 20.0, size=(2, 3, 3))
@@ -336,9 +327,54 @@ def padded_layout(sizes):
     return index, np.flatnonzero(index >= 0)
 
 
+def three_op_propagate(A, X, index, g):
+    """The neighbour product as three ops in plain numpy: a gather into the
+    stack with row 0 at the padded slots, the batched product and a gather
+    at the query slots. Returns its output and, for the output gradient
+    ``g``, the gradient of ``X``, where the first gather adds up a repeated
+    row's gradients in order."""
+    n, d = X.shape
+    B, n_q, n_max = A.shape
+    gather = np.where(index < 0, 0, index)
+    queries = np.flatnonzero(index[:, :n_q] >= 0)
+    out = np.matmul(A, X[gather]).reshape(B * n_q, d)[queries]
+    g_flat = np.zeros((B * n_q, d))
+    g_flat[queries] = g
+    g_stack = np.swapaxes(A, -1, -2) @ g_flat.reshape(B, n_q, d)
+    gX = np.zeros((n, d))
+    np.add.at(gX, gather.ravel(), g_stack.reshape(-1, d))
+    return out, gX
+
+
+@pytest.mark.parametrize("sizes, n_q", [((3, 2), 3), ((3, 3), 3), ((3, 2, 1), 1),
+                                        ((1, 3), 2)],
+                         ids=["padded", "unpadded", "seeds-only", "padded-queries"])
+def test_propagate_is_bitwise_the_three_op_product_with_exact_gradients(sizes, n_q):
+    rng = np.random.default_rng(16)
+    d = 4
+    index, slot = padded_layout(sizes)
+    # 0 in every padded column, as in an adjacency; a padded row is read by no one
+    A = rng.normal(size=(len(sizes), max(sizes), max(sizes))) * (index >= 0)[:, None, :]
+    A = A[:, :n_q]  # a view, as the seed-only layer passes it
+    X = Parameter(rng.normal(size=(sum(sizes), d)), "X")
+    queries = index[:, :n_q]
+    weights = rng.normal(size=(int((queries >= 0).sum()), d))
+
+    def product():
+        return nc.propagate(A, X, slot=slot, queries=queries)
+
+    out = product()
+    expect, expect_grad = three_op_propagate(A, X.data, index, weights)
+    np.testing.assert_array_equal(out.data, expect)
+    nc.zero_grad([X])
+    nc.backward((out * Tensor(weights)).sum())
+    np.testing.assert_array_equal(X.grad, expect_grad)
+    finite_check(lambda: (product() * Tensor(weights)).sum(), [X])
+
+
 def unfused_attention(H, W_Q, W_K, W_V, bias, heads, index, key_mask, mask):
-    """Attention as linear, gather into the stack, transpose, bmm, scale, bias,
-    key mask, row softmax, mask, bmm and the gather back, in plain numpy; a
+    """Attention as linear, gather into the stack, transpose, matmul, scale, bias,
+    key mask, row softmax, mask, matmul and the gather back, in plain numpy; a
     padded slot holds row 0."""
     n, d = H.shape
     head_dim = d // heads

@@ -308,7 +308,7 @@ def tape_nodes(loss) -> int:
     return len(seen)
 
 
-def test_a_train_bench_micro_batch_builds_at_most_99_tape_nodes(small_setup):
+def test_a_train_bench_micro_batch_builds_at_most_79_tape_nodes(small_setup):
     """The perfbench train-bench model and sampling configs, 8 examples."""
     schema, tables, graph, splits = small_setup
     model = GelModel(ModelConfig(d=64, n_layers=2, n_heads=4, pe_dim=16), schema, tables)
@@ -321,7 +321,7 @@ def test_a_train_bench_micro_batch_builds_at_most_99_tape_nodes(small_setup):
     scores = model.forward_batch(batch_subgraphs(subs, rngs), tables, graph)
     loss = loss_fn(scores, trainer._target_values(schema, tables)[rows],
                    schema.task.kind).sum()
-    assert tape_nodes(loss) <= 99
+    assert tape_nodes(loss) <= 79
 
 
 def test_micro_batch_changes_speed_only(small_setup):
