@@ -1,10 +1,16 @@
 """Command-line surface: data generation, ingestion, sampling, training,
-evaluation, theorem verification and ablation sweeps.
+evaluation, theorem verification and the multi-seed ablation study.
 
 ``train`` saves with its checkpoint the run it trained: the model, train
 and sampling configs and the ablation switches. ``eval`` takes only the
 data and the checkpoint, rebuilds that run from it and scores the test
 split as ``train`` did, so it prints the test metric ``train`` printed.
+
+``ablate`` trains the full model and each switch on its own at ``--seeds``
+consecutive training seeds, the model's init seed held fixed. It writes
+each run's epoch records and the study's ``trainer.ablation_summary``:
+every run's test metric, the means and the margins the acceptance gates
+read.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (also a bad schema, table, target value or checkpoint, an ``--out`` that
@@ -35,8 +41,8 @@ from .relstore import (SchemaError, TableDataError, build_graph, load_schema,
 from .sampler import SamplingConfig, subgraph_to_dict
 from .synthgen import SynthConfig, temporal_split, write_db
 from .trainer import (EmbeddingCache, MetricError, NumericAbort, TrainConfig,
-                      run_ablation_sweep, sample_rows, score_test, train,
-                      write_metrics_jsonl)
+                      ablation_summary, run_ablation_sweep, sample_rows, score_test,
+                      train, write_metrics_jsonl)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -73,6 +79,13 @@ def _fits(value, annotation: str) -> bool:
     return kind in kinds or (kind == "int" and "float" in kinds)
 
 
+def _finite_float(value: int) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def _build_dataclass(cls, raw, overrides: dict | None = None):
     if not isinstance(raw, dict):
         raise ConfigError(f"{cls.__name__} section must be a JSON object, "
@@ -91,6 +104,11 @@ def _build_dataclass(cls, raw, overrides: dict | None = None):
         if not _fits(value, types[name]):
             raise ConfigError(f"invalid {cls.__name__}: {name}={value!r} "
                               f"is not of type {types[name]}")
+        # json reads an int of any size; one in a float field must have a
+        # finite float64 value, though the field keeps the int as given
+        if type(value) is int and "int" not in types[name] and not _finite_float(value):
+            raise ConfigError(f"invalid {cls.__name__}: {name} is an int of "
+                              f"{len(str(abs(value)))} digits, too large for a float")
     try:
         return cls(**merged)
     except (TypeError, ValueError) as exc:
@@ -254,6 +272,14 @@ def cmd_verify(args) -> int:
 def cmd_ablate(args) -> int:
     schema, tables, graph = _load_dataset(args.data)
     model_cfg, train_cfg, samp_cfg = _configs(_load_json(args.config), args.seed)
+    # each seed trains every variant, so one the sweep cannot reach must stop
+    # it before the first run, not after the earlier seeds have trained
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds {args.seeds} is not at least 1")
+    seeds = range(train_cfg.rng_seed, train_cfg.rng_seed + args.seeds)
+    if seeds[-1] >= 2**64:
+        raise ConfigError(f"--seeds {args.seeds} from rng_seed {train_cfg.rng_seed} "
+                          f"reaches {seeds[-1]}, outside [0, 2**64)")
     splits = temporal_split(schema, tables, SPLIT_FRACTIONS)
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -261,12 +287,13 @@ def cmd_ablate(args) -> int:
     variants = [AblationFlags()] + [AblationFlags(**{f.name: True})
                                     for f in dataclasses.fields(AblationFlags)]
     runs = run_ablation_sweep(graph, schema, tables, splits, model_cfg, train_cfg,
-                              samp_cfg, variants, [train_cfg.rng_seed])
+                              samp_cfg, variants, seeds)
     with _writing(args.out):
-        summary = [_record_run(runs[train_cfg.rng_seed][v.name], v,
-                               os.path.join(args.out, f"metrics_{v.name}.jsonl"))
-                   for v in variants]
-        payload = json.dumps(summary, indent=1)
+        for seed, by_name in runs.items():
+            for v in variants:
+                _record_run(by_name[v.name], v,
+                            os.path.join(args.out, f"metrics_{v.name}_seed{seed}.jsonl"))
+        payload = json.dumps(ablation_summary(runs), indent=1)
         with open(os.path.join(args.out, "ablation_summary.json"), "w") as fh:
             fh.write(payload + "\n")
     print(payload)
@@ -321,11 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("ablate", help="train all ablation variants")
+    p = sub.add_parser("ablate", help="train the full model and each ablation "
+                                      "switch over training seeds")
     p.add_argument("--data", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
+    p.add_argument("--seeds", type=int, default=1, metavar="N",
+                   help="train at the N seeds from rng_seed up (default 1)")
     p.set_defaults(fn=cmd_ablate)
     return parser
 

@@ -426,6 +426,20 @@ def run_ablation_sweep(graph: RelGraph, schema: DatabaseSchema, tables: TableDat
     return results
 
 
+def ablation_summary(runs: dict[int, dict[str, TrainResult]]) -> dict:
+    """The study a ``run_ablation_sweep`` result gives: its runs' test
+    metrics by (seed, variant), each variant's mean over the seeds, and the
+    full model's margin over each other variant (full − variant)."""
+    entries = [{"rng_seed": seed, "ablation": name, "best_val_metric": r.best_metric,
+                "test_metric": r.test_metric}
+               for seed, by_name in runs.items() for name, r in by_name.items()]
+    names = next(iter(runs.values()))
+    mean = {name: float(np.mean([runs[seed][name].test_metric for seed in runs]))
+            for name in names}
+    return {"runs": entries, "mean": mean,
+            "margin": {name: mean["full"] - m for name, m in mean.items() if name != "full"}}
+
+
 def write_metrics_jsonl(records: list[dict], path: str) -> None:
     with open(path, "w") as fh:
         for r in records:

@@ -9,6 +9,8 @@ fixture), temporal-center recovery, and bit-level reproducibility.
 import hashlib
 import json
 import math
+import os
+import re
 import time
 
 import numpy as np
@@ -29,7 +31,8 @@ from relgauss.oracles import (KatzParams, ascend_bias, euler_ratio_factor,
 from relgauss.relstore import build_graph, load_schema, load_tables
 from relgauss.sampler import SamplingConfig, structural_sample
 from relgauss.synthgen import SynthConfig, temporal_split, write_db
-from relgauss.trainer import EmbeddingCache, TrainConfig, run_ablation_sweep
+from relgauss.trainer import (EmbeddingCache, TrainConfig, ablation_summary,
+                              run_ablation_sweep)
 
 SECONDS_PER_DAY = 86400.0
 
@@ -59,7 +62,9 @@ def bench_db(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def ablation_sweep(bench_db):
-    """Full / no-gaussian-bias / no-semantic-refinement over N_SEEDS seeds."""
+    """Full / no-gaussian-bias / no-semantic-refinement over N_SEEDS seeds:
+    the same runs as those variants of ``relgauss ablate --seed 0 --seeds 5``
+    at these configs (README, "Synthetic benchmark")."""
     cfg, schema, tables, graph, splits = bench_db
     variants = [AblationFlags(), AblationFlags(no_gaussian_bias=True),
                 AblationFlags(no_semantic_refinement=True)]
@@ -70,8 +75,7 @@ def ablation_sweep(bench_db):
                               SamplingConfig(**BENCH_SAMPLING), variants,
                               range(N_SEEDS))
     wall = time.monotonic() - t0
-    return {"auc": {v.name: [runs[seed][v.name].test_metric for seed in runs]
-                    for v in variants},
+    return {"summary": ablation_summary(runs),
             "records": {seed: runs[seed]["full"].records for seed in runs},
             "wall_seconds": wall}
 
@@ -346,10 +350,26 @@ def test_whole_model_gradient_matches_finite_differences(four_node_setup):
 
 @pytest.mark.slow
 def test_ablation_margins_and_absolute_performance(ablation_sweep):
-    means = {k: float(np.mean(v)) for k, v in ablation_sweep["auc"].items()}
-    assert means["full"] > 0.80
-    assert means["full"] >= means["no-gaussian-bias"] + 0.03
-    assert means["full"] >= means["no-semantic-refinement"] + 0.01
+    summary = ablation_sweep["summary"]
+    assert summary["mean"]["full"] > 0.80
+    assert summary["margin"]["no-gaussian-bias"] >= 0.03
+    assert summary["margin"]["no-semantic-refinement"] >= 0.01
+
+
+def test_readme_study_runs_at_the_gates_database_and_configs():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    gen = re.search(r"echo '(.*)' > gen.json\nrelgauss gen --config gen.json "
+                    r"--out bench/ --seed (\d+)\n", text)
+    assert {**json.loads(gen[1]), "rng_seed": int(gen[2])} == BENCH_SYNTH
+    study = re.search(r"cat > study.json <<'EOF'\n(.*?)\nEOF\nrelgauss ablate "
+                      r"--data bench/ --config study.json --out study/ "
+                      r"--seed 0 --seeds (\d+)\n", text, re.S)
+    assert json.loads(study[1]) == {"model": BENCH_MODEL, "train": BENCH_TRAIN,
+                                    "sampling": BENCH_SAMPLING}
+    assert int(study[2]) == N_SEEDS
 
 
 @pytest.mark.slow

@@ -329,6 +329,33 @@ def test_non_finite_value_in_a_checkpoint_run_exits_2(trained, gen_dir, tmp_path
     assert "lr=nan" in err
 
 
+@pytest.mark.parametrize("command, field", [
+    ("gen", "n_events_per_entity"),
+    ("gen", "noise_feature_dim_shift"),
+    ("train", "lr"),
+    ("eval", "lr"),
+])
+def test_an_int_too_large_for_a_float_field_exits_2(trained, gen_dir, tmp_path, capsys,
+                                                    command, field):
+    # json reads an int of any size, and float64 holds none past about 1.8e308
+    huge = 10**400
+    if command == "eval":
+        path = edited_checkpoint(trained[0] / "r1", tmp_path, with_run("train", lr=huge))
+        argv = ["--data", str(gen_dir), "--checkpoint", path]
+    else:
+        cfg = tmp_path / "cfg.json"
+        raw = {field: huge} if command == "gen" else {"train": {field: huge}}
+        cfg.write_text(json.dumps(raw))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--data", str(gen_dir), "--quiet"]
+    code, _, err = run(capsys, command, *argv)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert f"{field} is an int of 401 digits, too large for a float" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_huge_lr_exits_3_naming_the_parameter(gen_dir, tmp_path, capsys):
     # a finite lr whose first update overflows the bias scalars
     cfg = tmp_path / "cfg.json"
@@ -648,10 +675,11 @@ def test_ablate_runs_every_variant_like_train(gen_dir, tmp_path, capsys):
     summary = json.loads((tmp_path / "ab" / "ablation_summary.json").read_text())
     names = ["full", "no-structural-sampling", "no-semantic-refinement",
              "no-gaussian-bias", "no-gnn-branch"]
-    assert [s["ablation"] for s in summary] == names
-    for entry in summary:
+    assert [s["ablation"] for s in summary["runs"]] == names
+    for entry in summary["runs"]:
         name = entry["ablation"]
-        lines = (tmp_path / "ab" / f"metrics_{name}.jsonl").read_text().splitlines()
+        assert entry["rng_seed"] == 0
+        lines = (tmp_path / "ab" / f"metrics_{name}_seed0.jsonl").read_text().splitlines()
         assert len(lines) == TRAIN_CONFIG["train"]["epochs"]
         assert all(json.loads(line)["ablation"] == name for line in lines)
         flag = [] if name == "full" else [f"--{name}"]
@@ -659,37 +687,58 @@ def test_ablate_runs_every_variant_like_train(gen_dir, tmp_path, capsys):
                              str(cfg), "--out", str(tmp_path / name), "--seed", "0",
                              "--quiet", *flag)
         assert code == EXIT_OK, err
-        assert json.loads(out)["test_metric"] == entry["test_metric"], name
+        assert json.loads(out) == {k: entry[k] for k in
+                                   ("ablation", "best_val_metric", "test_metric")}, name
+        assert summary["mean"][name] == entry["test_metric"]
 
 
-def run_ablation_script(*args):
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    return subprocess.run([sys.executable, os.path.join(REPO, "scripts", "ablation_study.py"),
-                           *args], env=env, capture_output=True, text=True, timeout=300)
+def test_ablate_over_seeds_holds_the_init_seed_and_steps_the_training_seed(
+        gen_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    code, _, err = run(capsys, "ablate", "--data", str(gen_dir), "--config", str(cfg),
+                       "--out", str(tmp_path / "ab"), "--seed", "0", "--seeds", "2")
+    assert code == EXIT_OK, err
+    summary = json.loads((tmp_path / "ab" / "ablation_summary.json").read_text())
+    assert sorted({e["rng_seed"] for e in summary["runs"]}) == [0, 1]
+    assert sorted(os.listdir(tmp_path / "ab")) == sorted(
+        ["ablation_summary.json"] + [f"metrics_{e['ablation']}_seed{e['rng_seed']}.jsonl"
+                                     for e in summary["runs"]])
+    test = {(e["rng_seed"], e["ablation"]): e["test_metric"] for e in summary["runs"]}
+    for seed in (0, 1):
+        run_cfg = tmp_path / f"run{seed}.json"
+        run_cfg.write_text(json.dumps({**TRAIN_CONFIG,
+                                       "model": {**TRAIN_CONFIG["model"], "init_seed": 0},
+                                       "train": {**TRAIN_CONFIG["train"], "rng_seed": seed}}))
+        for name in ("full", "no-gaussian-bias"):
+            flag = [] if name == "full" else [f"--{name}"]
+            code, out, err = run(capsys, "train", "--data", str(gen_dir), "--config",
+                                 str(run_cfg), "--out", str(tmp_path / f"{name}{seed}"),
+                                 "--quiet", *flag)
+            assert code == EXIT_OK, err
+            assert json.loads(out)["test_metric"] == test[seed, name], (seed, name)
+    # the means and margins are those of the entries
+    by_name: dict = {}
+    for e in summary["runs"]:
+        by_name.setdefault(e["ablation"], []).append(e["test_metric"])
+    mean = {name: sum(v) / len(v) for name, v in by_name.items()}
+    assert summary["mean"] == mean
+    assert summary["margin"] == {name: mean["full"] - m for name, m in mean.items()
+                                 if name != "full"}
 
 
-def test_ablation_study_script_runs(tmp_path):
-    proc = run_ablation_script("--db", str(tmp_path / "db"), "--n-entities", "60",
-                               "--seeds", "1", "--epochs", "1",
-                               "--out", str(tmp_path / "report.json"))
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert list(report["variants"]) == ["full", "no-gaussian-bias",
-                                        "no-semantic-refinement"]
-    assert all(len(v) == 1 for v in report["variants"].values())
-    assert set(report["margins"]) == {"no-gaussian-bias", "no-semantic-refinement"}
-    # the database now exists: a generator flag must match how it was made
-    for flag, value in (("--n-entities", "30"), ("--noise-event-fraction", "0.1")):
-        proc = run_ablation_script("--db", str(tmp_path / "db"), flag, value)
-        assert proc.returncode == EXIT_CONFIG
-        assert_one_error_line(proc.stderr)
-        assert flag[2:].replace("-", "_") in proc.stderr
-
-
-def test_ablation_study_script_rejects_flags_for_a_db_of_unknown_make(gen_dir):
-    proc = run_ablation_script("--db", str(gen_dir), "--n-entities", "50")
-    assert proc.returncode == EXIT_CONFIG
-    assert_one_error_line(proc.stderr)
+@pytest.mark.parametrize("seed, seeds", [(0, 0), (0, -2), (2**64 - 2, 3)])
+def test_ablate_seeds_the_sweep_cannot_reach_exit_2(gen_dir, tmp_path, capsys, seed, seeds):
+    # rng seeds seed .. seed+seeds-1 must be at least one, each in [0, 2**64)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    code, _, err = run(capsys, "ablate", "--data", str(gen_dir), "--config", str(cfg),
+                       "--out", str(tmp_path / "ab"), "--seed", str(seed),
+                       "--seeds", str(seeds))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert f"--seeds {seeds}" in err
+    assert not (tmp_path / "ab").exists()
 
 
 def bad_events_db(gen_dir, tmp_path, row):
