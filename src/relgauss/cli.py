@@ -15,8 +15,9 @@ read.
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (also a bad schema, table, target value or checkpoint, an ``--out`` that
 cannot be written, or scored rows that cannot give the task's metric),
-3 numeric abort during training, 141 stdout closed by its reader before
-the output was all written.
+3 numeric abort (a non-finite value during training, or a non-finite test
+score in ``train``, ``eval`` or ``ablate``), 141 stdout closed by its
+reader before the output was all written.
 """
 
 from __future__ import annotations
@@ -104,9 +105,10 @@ def _build_dataclass(cls, raw, overrides: dict | None = None):
         if not _fits(value, types[name]):
             raise ConfigError(f"invalid {cls.__name__}: {name}={value!r} "
                               f"is not of type {types[name]}")
-        # json reads an int of any size; one in a float field must have a
-        # finite float64 value, though the field keeps the int as given
-        if type(value) is int and "int" not in types[name] and not _finite_float(value):
+        # json reads an int of any size; each must have a finite float64
+        # value (numpy sizes no array by a larger one), though a float field
+        # keeps the int as given
+        if type(value) is int and not _finite_float(value):
             raise ConfigError(f"invalid {cls.__name__}: {name} is an int of "
                               f"{len(str(abs(value)))} digits, too large for a float")
     try:
@@ -188,7 +190,7 @@ def cmd_ingest(args) -> int:
         "tables": {t: tables.tables[t].n_rows for t in schema.table_names()},
         "n_nodes": graph.n_nodes,
         "n_edges": n_edges,
-        "edge_types": graph.edge_types,
+        "edge_types": list(graph.adjacency),
         "dangling_foreign_keys": graph.dangling_fk_count,
     }))
     return EXIT_OK

@@ -690,7 +690,7 @@ def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
         saved = [(e["name"], tuple(int(n) for n in e["shape"])) for e in manifest["params"]]
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise CheckpointError(f"malformed checkpoint manifest {path}.json: {exc!r}") from exc
     for i, (name, p) in enumerate(params.items()):
         if i >= len(saved) or saved[i][0] != name:

@@ -39,36 +39,15 @@ class ConvergenceError(ValueError):
 class KatzParams:
     lam: float | None = None   # explicit attenuation; None -> c / rho(A)
     c: float = 0.1
-    tol: float = 1e-12
-    max_k: int = 200
 
 
-def spectral_radius(adjacency: np.ndarray, iters: int = 200,
-                    tol: float = 1e-10) -> float:
-    """Power iteration estimate of rho(A) for symmetric A.
+SERIES_TOL, SERIES_MAX_K = 1e-12, 200  # a series ends at a term this small, or this many
 
-    Iterates on A^2 so graphs whose extreme eigenvalues come in a +/-
-    pair (bipartite graphs) cannot trap the iteration in a period-2
-    oscillation.
-    """
+
+def spectral_radius(adjacency: np.ndarray) -> float:
+    """rho(A) of a symmetric A: its largest |eigenvalue|, exact to rounding."""
     A = np.asarray(adjacency, dtype=np.float64)
-    n = A.shape[0]
-    if n == 0 or not A.any():
-        return 0.0
-    x = np.full(n, 1.0 / math.sqrt(n))
-    prev = 0.0
-    est = 0.0
-    for _ in range(iters):
-        y = A @ (A @ x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        est = float(np.linalg.norm(A @ x))
-        if abs(est - prev) < tol:
-            break
-        prev = est
-    return est
+    return float(np.abs(np.linalg.eigvalsh(A)).max(initial=0.0))
 
 
 def resolve_lambda(adjacency: np.ndarray, params: KatzParams) -> float:
@@ -82,14 +61,14 @@ def resolve_lambda(adjacency: np.ndarray, params: KatzParams) -> float:
     return lam
 
 
-def _series_terms(adjacency: np.ndarray, lam: float, tol: float, max_k: int):
+def _series_terms(adjacency: np.ndarray, lam: float):
     """Yield (k, (lam*A)^k @ 1) for k = 1.. until the increment is tiny."""
     A = lam * np.asarray(adjacency, dtype=np.float64)
     term = np.ones(A.shape[0])
-    for k in range(1, max_k + 1):
+    for k in range(1, SERIES_MAX_K + 1):
         term = A @ term
         yield k, term
-        if np.linalg.norm(term) < tol:
+        if np.linalg.norm(term) < SERIES_TOL:
             return
 
 
@@ -97,7 +76,7 @@ def katz_centrality(adjacency: np.ndarray, params: KatzParams) -> np.ndarray:
     """Walk-counting centrality sum_{k>=1} (lam A)^k 1 by truncated series."""
     lam = resolve_lambda(adjacency, params)
     total = np.zeros(np.asarray(adjacency).shape[0])
-    for _, term in _series_terms(adjacency, lam, params.tol, params.max_k):
+    for _, term in _series_terms(adjacency, lam):
         total += term
     return total
 
@@ -114,7 +93,7 @@ def structural_loss_ratio(adjacency: np.ndarray, params: KatzParams) -> float:
     lam = resolve_lambda(adjacency, params)
     total = np.zeros(np.asarray(adjacency).shape[0])
     tail = np.zeros_like(total)
-    for k, term in _series_terms(adjacency, lam, params.tol, params.max_k):
+    for k, term in _series_terms(adjacency, lam):
         total += term
         if k >= 3:
             tail += term
@@ -145,27 +124,17 @@ def verify_snr_refinement(trials: int = 100,
                           rng: np.random.Generator | None = None) -> dict:
     """Dropping low-relevance neighbors (weights kept) must raise the SNR."""
     rng = rng or np.random.default_rng(0)
-    passed = 0
-    done = 0
     worst = math.inf
-    while done < trials:
+    for _ in range(trials):
         n = int(rng.integers(3, 9))
         w = rng.uniform(0.1, 1.0, size=n)
-        n_low = int(rng.integers(1, n))  # guarantee a nonempty noise subset
+        n_low = int(rng.integers(1, n))  # some noise, and some relevance >= 0.5
         mu = np.concatenate([rng.uniform(0.5, 1.0, size=n - n_low),
                              rng.uniform(0.0, LOW_RELEVANCE, size=n_low)])
         keep = mu > LOW_RELEVANCE
-        if not keep.any():
-            continue  # vacuous neighborhood, skip
-        before = snr(w, mu, 1.0, 1.0)
-        after = snr(w[keep], mu[keep], 1.0, 1.0)
-        done += 1
-        margin = after - before
-        worst = min(worst, margin)
-        if margin > 0:
-            passed += 1
-    return {"check": "snr_refinement", "trials": done,
-            "passed": passed == done, "worst_margin": worst}
+        worst = min(worst, snr(w[keep], mu[keep], 1.0, 1.0) - snr(w, mu, 1.0, 1.0))
+    return {"check": "snr_refinement", "trials": trials,
+            "passed": worst > 0, "worst_margin": worst}
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +274,7 @@ def verify_euler_ratio(trials: int = 20,
     worst = 0.0
     ok = True
     for i in range(trials):
-        c = 0.0 if i == 0 else float(rng.uniform(-5.0, 5.0))
+        c = 0.0 if i == 0 else float(rng.uniform(-8.0, 8.0))
         odds, padded = euler_ratio_factor(c)
         worst = max(worst, abs(odds - math.e))
         # the padded key gets nothing, and zero bias has no effect

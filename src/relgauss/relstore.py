@@ -377,7 +377,6 @@ class RelGraph:
     node_table: list[str]                 # table name per type id
     node_row: np.ndarray                  # row index within source table
     node_offset: dict[str, int]           # table -> first global node id
-    edge_types: list[str]                 # paired: fwd at 2k, rev at 2k+1
     adjacency: dict[str, CsrAdjacency]    # edge type -> neighbours per node
     merged_adjacency: CsrAdjacency        # union over all edge types
     dangling_fk_count: int = 0
@@ -419,7 +418,6 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
                 raise TableDataError("target-table row lacks a seed timestamp")
             node_time[lo:lo + tc.n_rows] = seed_ts
 
-    edge_types: list[str] = []
     adjacency: dict[str, CsrAdjacency] = {}
     all_src = [np.empty(0, dtype=np.int64)]
     all_dst = [np.empty(0, dtype=np.int64)]
@@ -431,7 +429,6 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
                 continue
             fwd = f"{tname}.{c.name}"
             rev = reverse_edge_type(fwd)
-            edge_types.extend([fwd, rev])
             target = tc.fk_rows[c.name]
             valid = target >= 0
             dangling += int(np.count_nonzero(target == DANGLING_FK))
@@ -446,6 +443,6 @@ def build_graph(schema: DatabaseSchema, tables: TableData) -> RelGraph:
     merged = CsrAdjacency.from_pairs(np.concatenate(all_src), np.concatenate(all_dst), total)
     return RelGraph(n_nodes=total, node_type=node_type, node_time=node_time,
                     node_table=node_table, node_row=node_row, node_offset=offsets,
-                    edge_types=edge_types, adjacency=adjacency,
-                    merged_adjacency=merged, dangling_fk_count=dangling)
+                    adjacency=adjacency, merged_adjacency=merged,
+                    dangling_fk_count=dangling)
 

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .relstore import DatabaseSchema, TableData, TableDataError
+from .relstore import MAX_EXACT_SECONDS, DatabaseSchema, TableData, TableDataError
 
 SIGNAL_THRESHOLD = 0.5
+# numpy's largest Poisson mean: INT64_MAX - 10 sqrt(INT64_MAX), as it computes it
+POISSON_LAM_MAX = float(2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 SCHEMA_DICT = {
     "tables": [
@@ -70,8 +73,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_entities < 1:
             raise ValueError("n_entities must be >= 1")
-        if self.n_events_per_entity < 0:
-            raise ValueError("n_events_per_entity must be >= 0")
+        if not 0 <= self.n_events_per_entity <= POISSON_LAM_MAX:
+            raise ValueError(f"n_events_per_entity must be in [0, {POISSON_LAM_MAX!r}], "
+                             f"numpy's Poisson limit")
         if self.w <= 0:
             raise ValueError("w must be positive")
         if not 0.0 <= self.noise_event_fraction <= 1.0:
@@ -80,6 +84,14 @@ class SynthConfig:
             raise ValueError("rng_seed must be >= 0")
         if self.seed_lead_seconds is None:
             self.seed_lead_seconds = 6 * self.w
+        # every generated timestamp lies in [lo, hi]: seed times up to a
+        # jitter past t_star + lead, events back to 20 w before the earliest
+        seed_lo = self.t_star + self.seed_lead_seconds
+        lo = min(self.t_star, seed_lo) - 20 * self.w
+        hi = seed_lo + max(1, self.w // 4)
+        if lo < -MAX_EXACT_SECONDS or hi > MAX_EXACT_SECONDS:
+            raise ValueError(f"t_star, w and seed_lead_seconds give timestamps in "
+                             f"[{lo}, {hi}] s, beyond ±2**53 s")
 
 
 def _round6(x: float) -> float:

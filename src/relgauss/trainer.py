@@ -18,8 +18,8 @@ from .sampler import SampledSubgraph, SamplingConfig, refinement_query, sample, 
 
 
 class NumericAbort(RuntimeError):
-    """Raised when the training loss, a gradient, a parameter or the
-    validation metric stops being finite."""
+    """Raised when the training loss, a gradient, a parameter, the
+    validation metric or a test score stops being finite."""
 
 
 @dataclass
@@ -272,10 +272,14 @@ def score_test(model: GelModel, graph: RelGraph, schema: DatabaseSchema,
                samp_cfg: SamplingConfig, ablation: AblationFlags,
                ) -> tuple[np.ndarray, str, float]:
     """Eval-mode scores of the test rows, the task metric's name and its
-    value, as the run with ``config`` scores them at the end of ``train``."""
+    value, as the run with ``config`` scores them at the end of ``train``.
+    A score that is not finite aborts, naming the first such target row."""
     embed = EmbeddingCache(model, graph, tables)
     scores = predict_rows(model, graph, schema, tables, test_rows, embed, samp_cfg,
                           ablation, config.rng_seed, micro_batch=config.micro_batch)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise NumericAbort(f"non-finite test score at target row {test_rows[bad[0]]}")
     return scores, *task_metric(schema, tables, test_rows, scores)
 
 

@@ -5,14 +5,16 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from relgauss import cli, trainer
@@ -77,6 +79,35 @@ def test_gen_rejects_invalid_value(tmp_path, capsys):
         assert_one_error_line(err)
         assert field in err
     assert not (tmp_path / "db").exists()
+
+
+@pytest.mark.parametrize("raw, message", [
+    # numpy drew past int64, or ingest refused the database gen wrote
+    ({"t_star": 10**20}, "beyond ±2**53 s"),
+    ({"w": 10**19}, "beyond ±2**53 s"),
+    ({"t_star": -9 * 10**18}, "beyond ±2**53 s"),
+    ({"n_events_per_entity": 1e300}, "Poisson limit"),
+], ids=["t_star-high", "w", "t_star-low", "n_events_per_entity"])
+def test_gen_config_past_what_can_be_drawn_or_read_exits_2(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n_entities": 30, **raw}))
+    code, _, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "db"))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert message in err
+    assert not (tmp_path / "db").exists()
+
+
+def test_gen_at_the_timestamp_bound_writes_what_ingest_reads(tmp_path, capsys):
+    # a config whose timestamps reach up to 2**53 s: gen takes it, and ingest
+    # reads what it writes
+    w = 3 * 86400
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"n_entities": 30, "w": w,
+                               "t_star": 2**53 - 6 * w - w // 4}))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "db")]) == EXIT_OK
+    code, _, err = run(capsys, "ingest", "--data", str(tmp_path / "db"))
+    assert code == EXIT_OK, err
 
 
 def test_train_on_too_few_rows_to_split_exits_2(tmp_path, capsys):
@@ -334,17 +365,23 @@ def test_non_finite_value_in_a_checkpoint_run_exits_2(trained, gen_dir, tmp_path
     ("gen", "noise_feature_dim_shift"),
     ("train", "lr"),
     ("eval", "lr"),
+    # an int field too: numpy sizes no array by such an int, and the model's
+    # first weight used to raise a traceback
+    ("train", "d"),
+    ("eval", "d"),
 ])
 def test_an_int_too_large_for_a_float_field_exits_2(trained, gen_dir, tmp_path, capsys,
                                                     command, field):
     # json reads an int of any size, and float64 holds none past about 1.8e308
     huge = 10**400
+    section = "model" if field == "d" else "train"
     if command == "eval":
-        path = edited_checkpoint(trained[0] / "r1", tmp_path, with_run("train", lr=huge))
+        path = edited_checkpoint(trained[0] / "r1", tmp_path,
+                                 with_run(section, **{field: huge}))
         argv = ["--data", str(gen_dir), "--checkpoint", path]
     else:
         cfg = tmp_path / "cfg.json"
-        raw = {field: huge} if command == "gen" else {"train": {field: huge}}
+        raw = {field: huge} if command == "gen" else {section: {field: huge}}
         cfg.write_text(json.dumps(raw))
         argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
         if command == "train":
@@ -591,6 +628,102 @@ def test_eval_truncated_checkpoint_exits_2(trained, gen_dir, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert_one_error_line(err)
     assert "blob" in err
+
+
+def resigned(run_dir, index, value):
+    """Manifest and blob edits for ``edited_checkpoint``: float ``index`` of
+    ``run_dir``'s blob set to ``value``, and the manifest's sha256 re-signed."""
+    weights = np.frombuffer((run_dir / "checkpoint.bin").read_bytes(), dtype="<f8").copy()
+    weights[index] = value
+    blob = weights.tobytes()
+    digest = hashlib.sha256(blob).hexdigest()
+    return (lambda m: dict(m, sha256=digest)), (lambda _: blob)
+
+
+@pytest.mark.parametrize("index, value", [(-1, float("nan")), (slice(None), 1e308)],
+                         ids=["nan-head-bias", "every-weight-1e308"])
+def test_eval_of_weights_giving_a_non_finite_score_exits_3(trained, gen_dir, tmp_path,
+                                                           capsys, index, value):
+    run_dir = trained[0] / "r1"
+    path = edited_checkpoint(run_dir, tmp_path, *resigned(run_dir, index, value))
+    code, out, err = run(capsys, "eval", "--data", str(gen_dir), "--checkpoint", path)
+    assert code == EXIT_NUMERIC and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("numeric abort: non-finite test score at target row ")
+
+
+def _leaf_paths(node, path=()):
+    """The path of every leaf of a JSON tree, in document order."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _leaf_paths(value, (*path, key))]
+    return [path]
+
+
+def with_leaf(section, pick, value):
+    """A manifest edit that sets leaf ``pick`` (modulo their count) of the
+    manifest's ``section`` to ``value``."""
+    def edit(manifest):
+        leaves = _leaf_paths(manifest[section], (section,))
+        *parents, key = leaves[pick % len(leaves)]
+        node = manifest
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        return manifest
+    return edit
+
+
+def _no_constant(name):
+    raise ValueError(f"stdout holds {name}, which is not JSON")
+
+
+# a leaf's stand-in: small numbers, so that no accepted run builds a large
+# model, and the values json reads that no float64 holds
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 16), st.floats(),
+    st.sampled_from([2**1024, -2**1024, 10**400]), st.text(max_size=4),
+    st.lists(st.integers(-2, 16), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 16), max_size=1))
+# (kind, where, value); an int ``where`` picks a leaf, float or byte modulo their count
+CHECKPOINT_DAMAGE = st.one_of(
+    st.tuples(st.just("leaf"), st.tuples(st.sampled_from(["format", "sha256", "params",
+                                                          "run"]), st.integers(0, 10**6)),
+              JSON_LEAF),
+    st.tuples(st.just("float"), st.integers(0, 10**6), st.floats()),
+    st.tuples(st.just("byte"), st.integers(0, 10**6), st.integers(0, 7)))
+
+
+# 42 evals in about 0.35 s on 2 vCPUs, after the `trained` fixture
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=CHECKPOINT_DAMAGE)
+@example(damage=("float", -1, float("nan")))  # the head's bias: every score NaN
+@example(damage=("leaf", ("params", 1), float("inf")))  # the first shape's first entry
+def test_any_damaged_checkpoint_evals_or_exits_with_one_line(trained, gen_dir, damage):
+    kind, where, value = damage
+    run_dir = trained[0] / "r1"
+    n_bytes = (run_dir / "checkpoint.bin").stat().st_size
+    if kind == "leaf":
+        edits = (with_leaf(*where, value), None)
+    elif kind == "float":
+        edits = resigned(run_dir, where % (n_bytes // 8), value)
+    else:
+        at = where % n_bytes
+        edits = (None, lambda b: b[:at] + bytes([b[at] ^ 1 << value]) + b[at + 1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = edited_checkpoint(run_dir, pathlib.Path(tmp), *edits)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main(["eval", "--data", str(gen_dir), "--checkpoint", path])
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        [line] = out.getvalue().splitlines()
+        json.loads(line, parse_constant=_no_constant)
+    else:
+        assert code in (EXIT_CONFIG, EXIT_NUMERIC), code
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 TINY_RUN = {

@@ -79,7 +79,7 @@ def hop_sensitivity(adjacency: np.ndarray, seed: int, removed_node: int,
         raise ValueError("cannot remove the seed itself")
     A = np.asarray(adjacency, dtype=np.float64)
     lam = resolve_lambda(A, params)
-    fixed = KatzParams(lam=lam, tol=params.tol, max_k=params.max_k)
+    fixed = KatzParams(lam=lam)
     full = katz_centrality(A, fixed)[seed]
     keep = [i for i in range(A.shape[0]) if i != removed_node]
     sub = A[np.ix_(keep, keep)]

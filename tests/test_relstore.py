@@ -511,7 +511,7 @@ def test_graph_one_node_per_row(db):
 
 def test_graph_bidirectional_typed_edges(db):
     schema, tables, graph = load_all(db)
-    assert graph.edge_types == ["orders.user_id", "orders.user_id_rev"]
+    assert list(graph.adjacency) == ["orders.user_id", "orders.user_id_rev"]
     # u1 (node 0) owns orders o1 (3) and o2 (4)
     assert graph.adjacency["orders.user_id_rev"][0].tolist() == [3, 4]
     assert graph.adjacency["orders.user_id"][3].tolist() == [0]
@@ -621,7 +621,7 @@ def assert_graph_matches_reference(schema, directory):
     total, typed, merged, dangling = reference_graph(
         schema, oracle_load_tables(schema, str(directory)))
     assert graph.n_nodes == total
-    assert graph.edge_types == list(typed)
+    assert list(graph.adjacency) == list(typed)
     for edge_type, ref in typed.items():
         adj = graph.adjacency[edge_type]
         assert len(adj) == total
@@ -668,7 +668,7 @@ def test_graph_matches_reference_without_foreign_keys(tmp_path):
     (tmp_path / "users.csv").write_text(USERS_CSV)
     schema = load_schema(str(tmp_path / "schema.json"))
     graph = assert_graph_matches_reference(schema, tmp_path)
-    assert graph.edge_types == [] and graph.adjacency == {}
+    assert graph.adjacency == {}
     assert len(graph.merged_adjacency.indices) == 0
 
 

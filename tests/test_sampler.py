@@ -18,8 +18,8 @@ def make_graph(n, edges, times):
     return RelGraph(n_nodes=n, node_type=np.zeros(n, dtype=np.int64),
                     node_time=np.asarray(times, dtype=np.float64),
                     node_table=["t"], node_row=np.arange(n),
-                    node_offset={"t": 0}, edge_types=["e", "e_rev"],
-                    adjacency={"e": adj, "e_rev": adj}, merged_adjacency=adj)
+                    node_offset={"t": 0}, adjacency={"e": adj, "e_rev": adj},
+                    merged_adjacency=adj)
 
 
 ZERO_EMB = np.zeros((9, 1)).__getitem__

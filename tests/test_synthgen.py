@@ -84,8 +84,8 @@ def test_window_after_all_seed_times_gives_all_negative(tmp_path):
 def test_partner_edges_give_two_hop_entity_neighbors(small_db):
     cfg, schema, tables = small_db
     graph = build_graph(schema, tables)
-    assert set(graph.edge_types) == {"events.entity_id", "events.entity_id_rev",
-                                     "events.partner_id", "events.partner_id_rev"}
+    assert set(graph.adjacency) == {"events.entity_id", "events.entity_id_rev",
+                                    "events.partner_id", "events.partner_id_rev"}
     # partner is never the owner
     events = tables.tables["events"]
     owners, partners = events.fk_rows["entity_id"], events.fk_rows["partner_id"]
