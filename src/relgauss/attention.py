@@ -96,12 +96,12 @@ class AttentionLayer(Module):
         outputs come back one per query row, in row order. With
         ``return_weights`` the softmax weights come back too, one
         (B, n_q, n_max) array per head. Dropout on the weights runs only
-        when the batch carries generators; its masks are drawn for every
-        query and then cut to the ones asked for, so each subgraph's
-        generator draws the same whatever ``n_queries`` is.
+        when the batch carries generators, which draw the cells of the
+        queries asked for alone.
         """
         B, n_max = batch.index.shape
-        mask = batch.dropout_mask((B, self.n_heads, n_max, n_max), self.dropout_rate)
+        n_q = n_max if n_queries is None else n_queries
+        mask = batch.dropout_mask((B, self.n_heads, n_q, n_max), self.dropout_rate)
         out, alpha = nc.attention_block(
             H, self.W_Q, self.W_K, self.W_V,
             # one |dt_i - dt_j| matrix per subgraph, shared by all heads
@@ -110,7 +110,7 @@ class AttentionLayer(Module):
             # padded keys get no weight, and padded query rows are dropped on
             # the way back, so padding passes no gradient to any parameter
             key_mask=np.where(batch.padded, MASK_NEG, 0.0),
-            mask=None if mask is None else np.ascontiguousarray(mask[:, :, :n_queries]))
+            mask=mask)
         out = self.out(out)
         if return_weights:
             return out, [alpha[:, h].copy() for h in range(self.n_heads)]

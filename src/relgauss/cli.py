@@ -29,6 +29,7 @@ import json
 import logging.handlers
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -235,6 +236,31 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_model_size(cfg: ModelConfig, shapes: dict[str, tuple[int, ...]],
+                      path: str) -> None:
+    """Compare the model fields that size its weights with the parameters
+    the checkpoint names, before any weight is made: an edited run could
+    otherwise ask for more memory than there is."""
+    def count(prefix: str) -> int:  # of the layers named prefix0., prefix1., ...
+        found = [re.match(rf"{re.escape(prefix)}(\d+)\.", name) for name in shapes]
+        return max((int(m.group(1)) + 1 for m in found if m), default=0)
+
+    def rows(name: str, less: int = 0) -> int | None:
+        shape = shapes.get(name)
+        return shape[0] - less if shape else None
+
+    implied = {"n_layers": ("names", count("layer")),
+               "gin_layers": ("names", count("pos.gin")),
+               "d": ("shapes", rows("head.a1.W")), "pe_dim": ("shapes", rows("pos.out.W")),
+               # a row per hop 0..max_hop
+               "max_hop": ("shapes", rows("hop.table", less=1))}
+    for field, (source, value) in implied.items():
+        if getattr(cfg, field) != value:
+            raise ConfigError(f"checkpoint {path}: its run has model.{field}="
+                              f"{getattr(cfg, field)}, and the {source} of its "
+                              f"parameters give {value}")
+
+
 def cmd_eval(args) -> int:
     run = nc.checkpoint_run(args.checkpoint)
     ablation = _build_dataclass(AblationFlags, run.get("ablation"))
@@ -244,6 +270,7 @@ def cmd_eval(args) -> int:
                           f"field of the model, train and sampling configs and the "
                           f"ablation switches")
     model_cfg, train_cfg, samp_cfg = configs
+    _check_model_size(model_cfg, nc.checkpoint_shapes(args.checkpoint), args.checkpoint)
     schema, tables, graph = _load_dataset(args.data)
     model = GelModel(model_cfg, schema, tables)
     nc.load_checkpoint(model.parameters(), args.checkpoint)

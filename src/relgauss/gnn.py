@@ -32,30 +32,36 @@ class SageLayer(Module):
         self.norm = Norm(f"{name}.norm", d)
         self.dropout_rate = dropout_rate
 
-    def __call__(self, H: Tensor, batch: BatchedSubgraphs,
-                 n_queries: int | None = None) -> Tensor:
-        """The layer's rows at the first ``n_queries`` slots of each subgraph
-        (slot 0 is its seed), in row order, or at every row by default. The
-        dropout mask is drawn for every row and then cut to those."""
-        mask = batch.dropout_mask(H.shape, self.dropout_rate)
-        neigh_mean = batch.propagate(batch.mean_adjacency[:, :n_queries], H)
-        if n_queries is not None:
-            rows = batch.query_rows(n_queries)
-            H = nc.rows(H, rows)
-            mask = None if mask is None else mask[rows]
+    def __call__(self, H: Tensor, batch: BatchedSubgraphs, reads: np.ndarray | None = None,
+                 writes: np.ndarray | None = None) -> Tensor:
+        """The layer at the rows of ``writes`` from ``H``, which holds the
+        rows of ``reads`` in row order. Both are (B, n_max) masks of the
+        batch's slots, every row by default; ``writes`` lies within
+        ``reads``, and no row of it has a neighbour outside ``reads``."""
+        reads = ~batch.padded if reads is None else reads
+        writes = reads if writes is None else writes
+        queries = batch.queries(writes)
+        counts = writes.sum(axis=1)
+        mask = batch.dropout_mask((int(counts.sum()), H.shape[1]), self.dropout_rate, counts)
+        neigh_mean = nc.propagate(batch.mean_adjacency[:, :queries.shape[1]], H,
+                                  slot=np.flatnonzero(reads), queries=queries)
+        at = None if np.array_equal(writes, reads) else np.flatnonzero(writes[reads])
         return nc.residual_mlp(H, [(H, self.W_self), (neigh_mean, self.W_neigh)],
-                               self.norm.gain, self.norm.shift, mask=mask)
+                               self.norm.gain, self.norm.shift, mask=mask, at=at)
 
 
 class GnnBranch(Module):
     def __init__(self, name: str, d: int, rng: np.random.Generator, n_layers: int = 3):
         self.layers = [SageLayer(f"{name}.sage{k}", d, rng) for k in range(n_layers)]
 
-    def __call__(self, H: Tensor, batch: BatchedSubgraphs,
-                 n_queries: int | None = None) -> Tensor:
-        """Every layer on every row, but the last only at the first
-        ``n_queries`` slots of each subgraph (all rows by default)."""
-        *inner, last = self.layers
-        for layer in inner:
-            H = layer(H, batch)
-        return last(H, batch, n_queries)
+    def __call__(self, H: Tensor, batch: BatchedSubgraphs, seeds_only: bool = False) -> Tensor:
+        """Every layer at every row; with ``seeds_only``, layer j of L only
+        at the rows within L - 1 - j hops of their seed, which are all the
+        rows the seeds' outputs read, so the branch returns the seeds' rows
+        in batch order."""
+        reads = ~batch.padded
+        for j, layer in enumerate(self.layers):
+            writes = batch.within(len(self.layers) - 1 - j) if seeds_only else reads
+            H = layer(H, batch, reads, writes)
+            reads = writes
+        return H

@@ -6,14 +6,16 @@ edges, then blends them with a single learned gate eta = logistic(eta_raw)
 shared across blocks. The seed-node row feeds a 2-layer perceptron head.
 
 The head reads nothing but the seed rows, so the last block computes only
-those: the seeds are its only attention queries (every row is still a key
-and value), its last GraphSAGE layer runs at the seeds alone (the earlier
-two, which feed the seeds' neighbour mean, run at every row), and the
-fusion runs on the seed rows. Every row the last block drops would have
-reached the score through nothing, so the maths is that of computing every
-row and keeping the seeds; only BLAS's rounding over fewer rows differs.
-Dropout masks are drawn for every row and cut to the seeds, so each
-subgraph's generator draws what it would draw for all rows.
+the rows that reach them. The seeds are its only attention queries (every
+row is still a key and value). Its GraphSAGE layer j of 3 runs at the rows
+within 2 - j sampling hops of their seed: layer 0 at hops <= 2, layer 1 at
+hops <= 1 and layer 2 at the seeds. A subgraph's rows come in hop order and
+each of its edges joins hops that differ by at most 1, so those rows are
+each subgraph's leading rows and hold every neighbour the next layer
+reads. The fusion runs on the seed rows. Every row the last block drops
+would have reached the score through nothing, so the maths is that of
+computing every row and keeping the seeds; only BLAS's rounding over fewer
+rows may differ. Dropout masks are drawn for the computed cells alone.
 
 Subgraphs go through the model in batches: their node rows are stacked and
 the row-wise layers run on the stacked rows. Everything that mixes rows
@@ -148,7 +150,7 @@ class GelModel(Module):
             if ablation.no_gnn_branch:
                 H = H_attn
             else:
-                H = fuse(H_attn, gnn(H, batch, n_queries), eta)
+                H = fuse(H_attn, gnn(H, batch, seeds_only=k == last), eta)
         return self.head_a2(nc.gelu(self.head_a1(H))).reshape(-1)
 
 
@@ -187,28 +189,39 @@ class BatchedSubgraphs:
         """``adjacency`` with each row divided by its degree (isolated: 0)."""
         return self.adjacency / np.maximum(self.adjacency.sum(axis=-1, keepdims=True), 1.0)
 
-    def query_rows(self, n_queries: int) -> np.ndarray:
-        """The rows at the first ``n_queries`` slots of each subgraph, in
-        row order; slot 0 holds the seed."""
-        index = self.index[:, :n_queries]
-        return index[index != PAD]
+    def within(self, hops: int) -> np.ndarray:
+        """(B, n_max) mask of the slots whose rows lie within ``hops``
+        sampling hops of their seed. A subgraph's rows come in hop order, so
+        these lead it."""
+        return ~self.padded & (self.hop[self.index] <= hops)
+
+    def queries(self, slots: np.ndarray) -> np.ndarray:
+        """The padded row index of the (B, n_max) mask ``slots``, cut after
+        its last column that holds a row."""
+        width = int(np.flatnonzero(slots.any(axis=0))[-1]) + 1
+        return np.where(slots, self.index, PAD)[:, :width]
 
     def propagate(self, A: np.ndarray, X: Tensor) -> Tensor:
         """Row i of subgraph b gets sum_j A[b, i, j] X_j over its own rows;
         an A of (B, n_q, n_max) gives the rows of the first n_q slots."""
         return nc.propagate(A, X, slot=self.slot, queries=self.index[:, :A.shape[1]])
 
-    def dropout_mask(self, shape: tuple[int, ...], rate: float) -> np.ndarray | None:
+    def dropout_mask(self, shape: tuple[int, ...], rate: float,
+                     counts: np.ndarray | None = None) -> np.ndarray | None:
         """Inverted-scaling dropout multiplier of an array of ``shape``: None
         in eval or at rate 0. Each subgraph draws its own cells' mask from its
-        own generator: an (n_b, d) block of stacked rows (rows, d), or a
-        (heads, n_b, n_b) block of padded pairs (B, heads, n_max, n_max),
-        whose padding is zeroed."""
+        own generator: a block of ``counts[b]`` (every row by default) stacked
+        rows (rows, d), or a (heads, n_q, n_b) block of padded pairs
+        (B, heads, n_q, n_max) whose padding is zeroed, n_q being its first
+        min(n_q, n_b) queries."""
         if self.rngs is None or rate <= 0.0:
             return None
+        counts = self.sizes if counts is None else counts
+        starts = np.cumsum(counts) - counts
         keep = np.zeros(shape, dtype=bool)
         for b, (rng, n) in enumerate(zip(self.rngs, self.sizes, strict=True)):
-            cells = keep[self.seed_positions[b]:][:n] if keep.ndim == 2 else keep[b, :, :n, :n]
+            cells = (keep[starts[b]:][:counts[b]] if keep.ndim == 2
+                     else keep[b, :, :n, :n])
             cells[...] = rng.random(cells.shape) >= rate
         return keep / (1.0 - rate)
 

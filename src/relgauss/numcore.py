@@ -22,12 +22,13 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _GRAD_ENABLED = True
 
 LAYER_NORM_EPS = 1e-5
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# GELU's tanh form (Hendrycks and Gimpel 2016): 0.5 y (1 + tanh(C (y + A y^3)))
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 @contextmanager
@@ -308,17 +309,52 @@ def softplus(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _gelu_tanh(y: np.ndarray) -> np.ndarray:
+    """tanh(C (y + A y^3)), the one array GELU's backward needs besides y.
+    Taken in the order of ``C * (y + A * y * y * y)``."""
+    t = y * _GELU_A
+    t *= y
+    t *= y
+    t += y
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def _gelu_value(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """0.5 y (1 + t): GELU of y, given its ``_gelu_tanh``, in a new array."""
+    out = t + 1.0
+    out *= 0.5
+    out *= y
+    return out
+
+
+def _gelu_slope(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d GELU / dy = 0.5 (1 + t) + 0.5 y (1 - t^2) C (1 + 3 A y^2)."""
+    du = y * y
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    sech2 *= du
+    sech2 *= y
+    sech2 *= 0.5
+    slope = t + 1.0
+    slope *= 0.5
+    slope += sech2
+    return slope
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF form: x * Phi(x)."""
+    """GELU in its tanh form, 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
     x = Tensor._coerce(x)
-    phi = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+    t = _gelu_tanh(x.data)
 
     def backward(g):
         if x.requires_grad:
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data**2)
-            x._accum(g * (phi + x.data * pdf))
+            x._accum(g * _gelu_slope(x.data, t))
 
-    return Tensor._make(x.data * phi, (x,), backward)
+    return Tensor._make(_gelu_value(x.data, t), (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
@@ -332,10 +368,10 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = LAYER_NORM_E
     # sum / n is bitwise ndarray.mean (the same add.reduce and true_divide)
     # without numpy's Python-level wrapper
     mu = x.data.sum(axis=-1, keepdims=True) / n
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    xhat = x.data - mu  # centred, then normalised in place
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    xhat *= inv
 
     def backward(g):
         if gain.requires_grad:
@@ -348,7 +384,9 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = LAYER_NORM_E
             m2 = (gq * xhat).sum(axis=-1, keepdims=True) / n
             x._accum(inv * (gq - m1 - xhat * m2))
 
-    return Tensor._make(xhat * gain.data + shift.data, (x, gain, shift), backward)
+    out = xhat * gain.data
+    out += shift.data
+    return Tensor._make(out, (x, gain, shift), backward)
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
@@ -372,22 +410,26 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
 
 def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor,
                  shift: Tensor, b1: Tensor | None = None, W2: Tensor | None = None,
-                 b2: Tensor | None = None, mask: np.ndarray | None = None) -> Tensor:
+                 b2: Tensor | None = None, mask: np.ndarray | None = None,
+                 at: np.ndarray | None = None) -> Tensor:
     """h + a2(mask * GELU(LayerNorm(sum_i x_i @ W_i.T + b1))) as one tape node.
 
     ``terms`` are the (x, W) pairs of rows (n, d_in) and weights (d, d_in),
     summed in order. Without ``b1`` the sum has no bias, without ``W2`` there
     is no a2 (``b2`` is its bias) and without ``mask`` (an (n, d) multiplier,
-    e.g. a dropout mask) no product. Every sum is taken in the order of the
-    ops it replaces (``linear``, ``layer_norm``, ``gelu``, ``*``, ``+``), so
-    its value and gradients are theirs bit for bit; the backward reuses the
-    forward's normalised activations, 1/sigma and Gaussian CDF.
+    e.g. a dropout mask) no product. With ``at``, distinct rows of ``h``,
+    ``h`` and any x that is ``h`` are read at those rows alone, as if
+    gathered by ``rows`` first. Every sum is taken in the order of the ops
+    it replaces (``rows``, ``linear``, ``layer_norm``, ``gelu``, ``*``,
+    ``+``), so its value and gradients are theirs bit for bit; the backward
+    reuses the forward's normalised activations, 1/sigma and GELU's tanh.
     """
+    h_data = h.data if at is None else h.data[at]
     # past the first product every step writes into an array made here
     (x0, W0), *rest = terms
-    z = x0.data @ W0.data.T
+    z = (h_data if x0 is h else x0.data) @ W0.data.T
     for x, W in rest:
-        z += x.data @ W.data.T
+        z += (h_data if x is h else x.data) @ W.data.T
     if b1 is not None:
         z += b1.data
     n = z.shape[-1]
@@ -399,11 +441,8 @@ def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor
     xhat = z
     y = xhat * gain.data
     y += shift.data
-    phi = y / math.sqrt(2.0)
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
-    act = y * phi
+    t = _gelu_tanh(y)
+    act = _gelu_value(y, t)
     if mask is not None:
         act *= mask
     out = act
@@ -412,9 +451,19 @@ def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor
         if b2 is not None:
             out += b2.data
 
+    held = []  # with ``at``: the gradient of h's rows there, summed in order
+
+    def to_h(grad: np.ndarray) -> None:
+        if at is None:
+            h._accum(grad)
+        elif held:
+            held[0] += grad
+        else:
+            held.append(np.array(grad))
+
     def backward(g):
         if h.requires_grad:
-            h._accum(g)
+            to_h(g)
         gact = g
         if W2 is not None:
             gact = g @ W2.data
@@ -424,8 +473,7 @@ def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor
                 b2._accum(g.sum(axis=0))
         if mask is not None:
             gact = gact * mask
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * y**2)
-        gy = gact * (phi + y * pdf)
+        gy = gact * _gelu_slope(y, t)
         if gain.requires_grad:
             gain._accum(_unbroadcast(gy * xhat, gain.shape))
         if shift.requires_grad:
@@ -436,15 +484,19 @@ def residual_mlp(h: Tensor, terms: Sequence[tuple[Tensor, Tensor]], gain: Tensor
         gz = inv * (gq - m1 - xhat * m2)
         for x, W in terms:
             if x.requires_grad:
-                x._accum(gz @ W.data)
+                (to_h if x is h else x._accum)(gz @ W.data)
             if W.requires_grad:
-                W._accum(gz.T @ x.data)
+                W._accum(gz.T @ (h_data if x is h else x.data))
         if b1 is not None and b1.requires_grad:
             b1._accum(gz.sum(axis=0))
+        if held:  # the gather's scatter
+            acc = np.zeros(h.shape)
+            acc[at] = held.pop()
+            h._accum(acc)
 
     parents = [h, gain, shift, *(t for term in terms for t in term)]
     parents += [t for t in (b1, W2, b2) if t is not None]
-    out += h.data  # the backward reads act only if W2 made out a new array
+    out += h_data  # the backward reads act only if W2 made out a new array
     return Tensor._make(out, parents, backward)
 
 
@@ -493,13 +545,16 @@ def attention_block(H: Tensor, W_Q: Tensor, W_K: Tensor, W_V: Tensor,
     K_t = np.swapaxes(stack(H.data, W_K, slot, n_max), -1, -2)  # keys on the last axis
     V = stack(H.data, W_V, slot, n_max)
     scale = 1.0 / math.sqrt(head_dim)
-    scores = np.matmul(Q, K_t) * scale
+    # the scores become the softmax weights in the array the product made
+    scores = np.matmul(Q, K_t)
+    scores *= scale
     if bias is not None:
-        scores = scores + bias.data
+        scores += bias.data
     if key_mask.any():
-        scores = scores + key_mask[:, None, None, :]
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
+        scores += key_mask[:, None, None, :]
+    scores -= scores.max(axis=-1, keepdims=True)
+    alpha = np.exp(scores, out=scores)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
     weights = alpha if mask is None else alpha * mask
     Y = np.matmul(weights, V)
     out = Y.transpose(0, 2, 1, 3).reshape(B * n_q, d)[q_slot]
@@ -510,14 +565,18 @@ def attention_block(H: Tensor, W_Q: Tensor, W_K: Tensor, W_V: Tensor,
         gY = gY.reshape(B, n_q, heads, head_dim).transpose(0, 2, 1, 3)
         g_weights = gY @ np.swapaxes(V, -1, -2)
         gV = np.swapaxes(weights, -1, -2) @ gY
-        g_alpha = g_weights if mask is None else g_weights * mask
-        dot = (g_alpha * alpha).sum(axis=-1, keepdims=True)
-        g_scores = alpha * (g_alpha - dot)
+        # past the product every step writes into the weights' gradient
+        g_scores = g_weights
+        if mask is not None:
+            g_scores *= mask
+        dot = (g_scores * alpha).sum(axis=-1, keepdims=True)
+        g_scores -= dot
+        g_scores *= alpha
         if bias is not None and bias.requires_grad:
-            bias._accum(g_scores)
-        g_scaled = g_scores * scale
-        gQ = g_scaled @ np.swapaxes(K_t, -1, -2)
-        gK_t = np.swapaxes(Q, -1, -2) @ g_scaled
+            bias._accum(g_scores)  # a copy or a sum: g_scores stays this op's
+        g_scores *= scale  # the gradient of the unscaled product
+        gQ = g_scores @ np.swapaxes(K_t, -1, -2)
+        gK_t = np.swapaxes(Q, -1, -2) @ g_scores
         every_row = np.arange(n_rows)
         for W, gX, at, rows in ((W_Q, gQ, q_slot, q_rows),
                                 (W_K, np.swapaxes(gK_t, -1, -2), slot, every_row),
@@ -550,26 +609,31 @@ def gaussian_bias(delta_days: np.ndarray, mu: Tensor, rho: Tensor,
     d = np.asarray(delta_days, dtype=np.float64)[..., None, :, :]
     per_head = (slice(None), None, None)
     sigma = np.logaddexp(0.0, rho.data) + sigma_min
-    z = (d - mu.data[per_head]) / sigma[per_head]
-    k = np.exp(-0.5 * z * z)
+    # past the first difference every step writes into an array made here
+    z = d - mu.data[per_head]
+    z /= sigma[per_head]
+    k = z * -0.5
+    k *= z
+    np.exp(k, out=k)
     # every axis but the head axis (-3) is summed in the parameter gradients
     axes = tuple(i for i in range(z.ndim) if i != z.ndim - 3)
 
     def backward(g):
-        gk = g * k
-        gkz = gk * z
-        if mu.requires_grad:
-            mu._accum(scale.data * gkz.sum(axis=axes) / sigma)
-        if rho.requires_grad:
-            rho._accum(scale.data * (gkz * z).sum(axis=axes) / sigma
-                       * logistic(rho.data))
-        if scale.requires_grad:
-            scale._accum(gk.sum(axis=axes))
         if shift.requires_grad:
             shift._accum(g.sum(axis=axes))
+        gk = g * k
+        if scale.requires_grad:
+            scale._accum(gk.sum(axis=axes))
+        gk *= z  # gk z, then gk z^2
+        if mu.requires_grad:
+            mu._accum(scale.data * gk.sum(axis=axes) / sigma)
+        if rho.requires_grad:
+            gk *= z
+            rho._accum(scale.data * gk.sum(axis=axes) / sigma * logistic(rho.data))
 
-    return Tensor._make(k * scale.data[per_head] + shift.data[per_head],
-                        (mu, rho, scale, shift), backward)
+    out = k * scale.data[per_head]
+    out += shift.data[per_head]
+    return Tensor._make(out, (mu, rho, scale, shift), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +694,10 @@ def zero_grad(params: Iterable[Parameter]) -> None:
 # ---------------------------------------------------------------------------
 
 
-# format 3: positional features come from a keyed hash; a format-2 model was
-# trained against other features and would score as a different model
-CHECKPOINT_FORMAT = 3
+# format 4: GELU is the tanh form. A format-3 model was trained with the erf
+# form, and a format-2 one against other positional features: either would
+# score as a different model
+CHECKPOINT_FORMAT = 4
 
 
 def save_checkpoint(params: dict[str, Parameter], path: str, run: dict) -> None:
@@ -678,6 +743,28 @@ def checkpoint_run(path: str) -> dict:
     return _read_manifest(path)["run"]
 
 
+def _saved_shapes(manifest: dict, path: str) -> list[tuple[str, tuple[int, ...]]]:
+    """The manifest's (name, shape) entries, in its order; each shape entry
+    must be a JSON int (not a float such as 8.5, nor a bool)."""
+    try:
+        saved = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
+    except (TypeError, KeyError) as exc:
+        raise CheckpointError(f"malformed checkpoint manifest {path}.json: {exc!r}") from exc
+    for name, shape in saved:
+        if not isinstance(name, str):
+            raise CheckpointError(f"malformed checkpoint manifest {path}.json: "
+                                  f"a parameter name is {name!r}, not a string")
+        if not all(type(n) is int for n in shape):
+            raise CheckpointError(f"malformed checkpoint manifest {path}.json: the shape "
+                                  f"of {name!r} is {list(shape)!r}, not a list of ints")
+    return saved
+
+
+def checkpoint_shapes(path: str) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape as the manifest at ``path`` gives it, by name."""
+    return dict(_saved_shapes(_read_manifest(path), path))
+
+
 def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
     """Read every parameter from ``path``; nothing is assigned unless all fit.
     The manifest lists the model's names and shapes in its order, and the
@@ -688,10 +775,7 @@ def load_checkpoint(params: dict[str, Parameter], path: str) -> None:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        saved = [(e["name"], tuple(int(n) for n in e["shape"])) for e in manifest["params"]]
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:  # int(inf) overflows
-        raise CheckpointError(f"malformed checkpoint manifest {path}.json: {exc!r}") from exc
+    saved = _saved_shapes(manifest, path)
     for i, (name, p) in enumerate(params.items()):
         if i >= len(saved) or saved[i][0] != name:
             raise CheckpointError(f"checkpoint {path} has no parameter {name!r} "

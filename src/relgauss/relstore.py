@@ -159,7 +159,20 @@ NULL_FK = -1       # a blank cell
 DANGLING_FK = -2   # a key that is no primary key of the target table
 # per column kind stored as float64: the dtype a whole column is cast to
 # first, the parser of one cell where that fails, and the value of a blank
-FLOAT_KINDS = {"numerical": (np.float64, float, np.nan),
+def _not_finite(value: float) -> str:
+    return f"{value} is not a finite number"
+
+
+def _parse_number(text: str) -> float:
+    """``float`` of a numerical cell; one that reads as infinite (``inf``,
+    ``1e400``) is an error."""
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(_not_finite(value))
+    return value
+
+
+FLOAT_KINDS = {"numerical": (np.float64, _parse_number, np.nan),
                "timestamp": (np.int64, _parse_timestamp, NO_TIMESTAMP)}
 
 
@@ -187,7 +200,9 @@ def load_tables(schema: DatabaseSchema, directory: str) -> TableData:
     numerical columns to float64. Every other column is cast from the cell
     text as a whole (timestamps by ``int``); a column that does not cast (a
     blank cell, an ISO time) is parsed cell by cell, so every value and
-    error is the one ``float`` or ``_parse_timestamp`` gives.
+    error is the one ``float`` or ``_parse_timestamp`` gives. A blank
+    numerical cell is missing (NaN); one that reads as infinite (``inf``,
+    ``1e400``) is an error.
     """
     out: dict[str, TableColumns] = {}
     for tname, cols in schema.tables:
@@ -269,6 +284,12 @@ def _read_table(fh, path: str, tname: str, cols: list[ColumnSpec]) -> TableColum
                         raise TableDataError(f"{path} line {line(i)} column {c.name!r}: "
                                              f"{_inexact(cells[i])}")
                 values = values.astype(np.float64, copy=False)
+                if c.kind == "numerical":  # _parse_number's check, on the whole column
+                    infinite = np.flatnonzero(np.isinf(values))
+                    if len(infinite):
+                        i = int(infinite[0])
+                        raise TableDataError(f"{path} line {line(i)} column {c.name!r}: "
+                                             f"{_not_finite(values[i])}")
             (tc.numerical if c.kind == "numerical" else tc.timestamps)[c.name] = values
             continue
         cells = cells.astype(str)

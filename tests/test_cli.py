@@ -22,6 +22,7 @@ from relgauss import numcore as nc
 from relgauss.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                           EXIT_VERIFY_FAIL, main)
 from relgauss.model import AblationFlags, ModelConfig, batch_subgraphs
+from relgauss.relstore import load_schema, load_tables
 from relgauss.sampler import SamplingConfig
 from relgauss.trainer import TrainConfig
 
@@ -560,6 +561,8 @@ def without_run_field(section, field):
     (lambda m: m["params"], None, "retrain"),
     # format 2 was trained against other positional features
     pytest.param(lambda m: dict(m, format=2), None, "retrain", id="format-2"),
+    # format 3 was trained with the erf form of GELU
+    pytest.param(lambda m: dict(m, format=3), None, "retrain", id="format-3"),
     (with_run("model", d=30, n_heads=4), None, "n_heads"),
     (with_run("ablation", no_gnn_branch=1), None, "no_gnn_branch"),
     (with_run("ablation", no_dropout=True), None, "no_dropout"),
@@ -619,6 +622,21 @@ def test_eval_checkpoint_of_another_width_exits_2(trained, gen_dir, tmp_path, ca
     assert code == EXIT_CONFIG
     assert_one_error_line(err)
     assert "shape" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_layers", 3), ("gin_layers", 5), ("d", 32), ("pe_dim", 8), ("max_hop", 4)])
+def test_eval_of_a_run_its_parameters_do_not_fit_exits_2(trained, gen_dir, tmp_path,
+                                                         capsys, field, value):
+    """The run's model fields that size its weights are compared with the
+    manifest before any weight is made, so that an edited n_layers of 10**6
+    cannot allocate until the process dies."""
+    out, _ = trained
+    path = edited_checkpoint(out / "r1", tmp_path, with_run("model", **{field: value}))
+    code, _, err = run(capsys, "eval", "--data", str(gen_dir), "--checkpoint", path)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert f"model.{field}={value}," in err
 
 
 def test_eval_truncated_checkpoint_exits_2(trained, gen_dir, tmp_path, capsys):
@@ -701,6 +719,8 @@ CHECKPOINT_DAMAGE = st.one_of(
 @given(damage=CHECKPOINT_DAMAGE)
 @example(damage=("float", -1, float("nan")))  # the head's bias: every score NaN
 @example(damage=("leaf", ("params", 1), float("inf")))  # the first shape's first entry
+@example(damage=("leaf", ("params", 1), 8.5))
+@example(damage=("leaf", ("params", 1), True))
 def test_any_damaged_checkpoint_evals_or_exits_with_one_line(trained, gen_dir, damage):
     kind, where, value = damage
     run_dir = trained[0] / "r1"
@@ -932,7 +952,6 @@ def db_with_label(gen_dir, tmp_path, row, label, kind):
     ("binary_classification", "2", "2.0"),
     ("binary_classification", "0.5", "0.5"),
     ("binary_classification", "", "nan"),    # a blank cell
-    ("regression", "inf", "inf"),
     ("regression", "", "nan"),
     ("regression", "2.5", None),             # any finite value is a regression target
 ])
@@ -949,6 +968,30 @@ def test_train_on_a_bad_target_exits_2(gen_dir, tmp_path, capsys, kind, label, s
     assert_one_error_line(err)
     assert ("'entities'" in err and "'label'" in err and "row 3:" in err
             and f"target {shown} " in err), err
+
+
+@pytest.mark.parametrize("table, column, cell", [
+    ("events", "intensity", "inf"), ("events", "intensity", "1e400"),
+    ("events", "intensity", "-inf"), ("entities", "label", "inf")])
+def test_an_infinite_numerical_cell_exits_2(gen_dir, tmp_path, capsys, table, column,
+                                            cell):
+    """float() reads these as +-inf; they used to load and be imputed as missing."""
+    if table == "events":
+        db, line = bad_events_db(gen_dir, tmp_path, f"evX,e0,e1,5,{cell},0.1\n")
+    else:  # a regression target, which any finite value may be
+        db, line = db_with_label(gen_dir, tmp_path, 3, cell, "regression"), 5
+    code, _, err = run(capsys, "ingest", "--data", str(db))
+    assert code == EXIT_CONFIG
+    assert_one_error_line(err)
+    assert f"{table}.csv line {line} column {column!r}" in err and "not a finite" in err
+
+
+def test_a_blank_numerical_cell_loads_as_missing(gen_dir, tmp_path, capsys):
+    db, _ = bad_events_db(gen_dir, tmp_path, "evX,e0,e1,5,,0.1\n")
+    code, _, _ = run(capsys, "ingest", "--data", str(db))
+    assert code == EXIT_OK
+    schema = load_schema(str(db / "schema.json"))
+    assert np.isnan(load_tables(schema, str(db)).tables["events"].numerical["intensity"][-1])
 
 
 @pytest.mark.parametrize("command", ["ingest", "sample", "train"])

@@ -186,10 +186,28 @@ def test_sigmoid_softplus_extreme_inputs_are_stable():
     assert np.all(np.isfinite(sp)) and sp[0] == 0.0 and sp[2] == 1000.0
 
 
+# x, 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))) and its derivative,
+# to 20 digits (mpmath at 40 digits)
+GELU_TABLE = [
+    (-3.0, -0.0036373920817730188378, -0.011584166630969726204),
+    (-1.0, -0.15880800939172329522, -0.08296408384578255514),
+    (-0.5, -0.15428599017485607796, 0.13263009646535768844),
+    (0.0, 0.0, 0.5),
+    (0.5, 0.34571400982514392204, 0.86736990353464231156),
+    (1.0, 0.84119199060827670478, 1.0829640838457825551),
+    (2.0, 1.9545976940877750188, 1.0860992566236183816),
+    (3.0, 2.9963626079182269812, 1.0115841666309697262),
+]
+
+
 def test_gelu_exact_values():
-    out = nc.gelu(Tensor(np.array([0.0, 1.0]))).data
-    assert out[0] == 0.0
-    assert out[1] == pytest.approx(0.8413447460685429)  # Phi(1)
+    x, value, slope = (np.array(col) for col in zip(*GELU_TABLE))
+    xp = Parameter(x, "x")
+    out = nc.gelu(xp)
+    assert out.data[3] == 0.0
+    np.testing.assert_allclose(out.data, value, rtol=1e-14, atol=1e-15)
+    nc.backward(out.sum())
+    np.testing.assert_allclose(xp.grad, slope, rtol=1e-14, atol=1e-15)
 
 
 def test_layer_norm_statistics_and_gradient():
@@ -259,8 +277,13 @@ def test_softmax_cross_entropy_toy_matches_finite_differences():
     np.testing.assert_allclose(logits.grad, p.data - onehot, atol=1e-12)
 
 
-def unfused_residual_mlp(h, terms, gain, shift, b1=None, W2=None, b2=None, mask=None):
+def unfused_residual_mlp(h, terms, gain, shift, b1=None, W2=None, b2=None, mask=None,
+                         at=None):
     """The composition of ops that ``residual_mlp`` fuses."""
+    if at is not None:
+        h_at = nc.rows(h, at)
+        terms = [(h_at if x is h else x, W) for x, W in terms]
+        h = h_at
     z = None
     for x, W in terms:
         xw = nc.linear(x, W)
@@ -275,15 +298,18 @@ def unfused_residual_mlp(h, terms, gain, shift, b1=None, W2=None, b2=None, mask=
     return h + act
 
 
-@pytest.mark.parametrize("b1, a2, masked, h_is_x", [
-    (True, True, False, True),     # a residual block
-    (True, True, False, False),    # a positional GIN block
-    (False, False, True, True),    # a GraphSAGE layer (plus its neighbour term)
-    (False, True, True, False),
-], ids=["block", "block-x", "sage", "a2-mask"])
-def test_residual_mlp_is_bitwise_its_composition_with_exact_gradients(b1, a2, masked, h_is_x):
+@pytest.mark.parametrize("b1, a2, masked, h_is_x, at", [
+    (True, True, False, True, None),     # a residual block
+    (True, True, False, False, None),    # a positional GIN block
+    (False, False, True, True, None),    # a GraphSAGE layer (plus its neighbour term)
+    (False, True, True, False, None),
+    (False, False, True, True, [0, 2, 3]),  # a last-block GraphSAGE layer's rows
+], ids=["block", "block-x", "sage", "a2-mask", "sage-at"])
+def test_residual_mlp_is_bitwise_its_composition_with_exact_gradients(b1, a2, masked, h_is_x,
+                                                                      at):
     rng = np.random.default_rng(13)
     n, d = 5, 4
+    m = n if at is None else len(at)  # output rows
     params = []
 
     def param(name, *shape):
@@ -293,14 +319,16 @@ def test_residual_mlp_is_bitwise_its_composition_with_exact_gradients(b1, a2, ma
     h = param("h", n, d)
     terms = [(h if h_is_x else param("x", n, d), param("W1", d, d))]
     if not b1:  # the GraphSAGE form: a second, neighbour term
-        terms.append((param("m", n, d), param("Wn", d, d)))
+        terms.append((param("m", m, d), param("Wn", d, d)))
     gain, shift = param("gain", d), param("shift", d)
     kw = {"b1": param("b1", d) if b1 else None}
     if a2:
         kw.update(W2=param("W2", d, d), b2=param("b2", d))
     if masked:
-        kw["mask"] = (rng.random((n, d)) >= 0.3) / 0.7
-    weights = rng.normal(size=(n, d))
+        kw["mask"] = (rng.random((m, d)) >= 0.3) / 0.7
+    if at is not None:
+        kw["at"] = np.array(at)
+    weights = rng.normal(size=(m, d))
 
     def loss(op):
         return (op(h, terms, gain, shift, **kw) * Tensor(weights)).sum()
@@ -568,7 +596,7 @@ def test_checkpoint_roundtrip(tmp_path):
     blob = (tmp_path / "ckpt.bin").read_bytes()
     assert blob == b"".join(p.data.astype("<f8").tobytes() for p in params.values())
     manifest = json.loads((tmp_path / "ckpt.json").read_text())
-    assert manifest["format"] == 3 and manifest["sha256"] == hashlib.sha256(blob).hexdigest()
+    assert manifest["format"] == 4 and manifest["sha256"] == hashlib.sha256(blob).hexdigest()
     assert [e["shape"] for e in manifest["params"]] == [[3, 2], [3], []]
     assert nc.checkpoint_run(path) == run
     originals = {k: p.data.copy() for k, p in params.items()}
@@ -596,6 +624,9 @@ def test_load_checkpoint_closes_its_files(tmp_path):
     ("reshape", r"'b' has shape \(2, 2\)"),
     ("truncate", "needs bytes"),
     ("flip", "sha256"),
+    # a shape entry is a JSON int: int() would read these as 3 and 1
+    ("float-shape", r"shape of 'b' is \[3.5, 3\], not a list of ints"),
+    ("bool-shape", r"shape of 'b' is \[3, True\], not a list of ints"),
 ])
 def test_load_checkpoint_validates_before_assigning(tmp_path, damage, match):
     params = {"a": Parameter(np.arange(3.0), "a"),
@@ -607,6 +638,10 @@ def test_load_checkpoint_validates_before_assigning(tmp_path, damage, match):
         manifest["params"][1]["name"] = "c"
     elif damage == "reshape":
         manifest["params"][1]["shape"] = [2, 2]
+    elif damage == "float-shape":
+        manifest["params"][1]["shape"] = [3.5, 3]
+    elif damage == "bool-shape":
+        manifest["params"][1]["shape"] = [3, True]
     (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
     blob = tmp_path / "ckpt.bin"
     if damage == "truncate":
@@ -682,11 +717,13 @@ def test_load_checkpoint_unreadable_files(tmp_path):
 @pytest.mark.parametrize("manifest, match", [
     # format 1 was the bare parameter list, with no run
     ([{"name": "a", "shape": [3], "offset": 0}], "format 1.*retrain"),
-    ({"format": 4, "run": {}, "params": []}, "format 4"),
+    ({"format": 5, "run": {}, "params": []}, "format 5"),
     ({"run": {}, "params": []}, "format None"),
-    ({"format": 3, "run": [], "params": []}, "no run object"),
+    ({"format": 4, "run": [], "params": []}, "no run object"),
     # format 2 was trained against other positional features
     ({"format": 2, "run": {}, "params": []}, "format 2.*retrain"),
+    # format 3 was trained with the erf form of GELU
+    ({"format": 3, "run": {}, "params": []}, "format 3.*retrain"),
 ])
 def test_checkpoint_manifest_of_another_format_is_refused(tmp_path, manifest, match):
     params = {"a": Parameter(np.arange(3.0), "a")}

@@ -239,9 +239,9 @@ def test_timestamps_of_2_to_the_53_load_exactly(db):
 
 def oracle_load_tables(schema, directory):
     """The loader as it was before numpy parsed the CSVs: csv.reader rows,
-    every cell parsed in Python, foreign keys kept as text. One change:
+    every cell parsed in Python, foreign keys kept as text. Two changes:
     blank lines hold no row (this loader used to fail on them with an
-    IndexError)."""
+    IndexError), and a numerical cell that reads as infinite is refused."""
     out = {}
     for tname, cols in schema.tables:
         path = os.path.join(directory, f"{tname}.csv")
@@ -276,6 +276,8 @@ def oracle_load_tables(schema, directory):
                 for i, v in enumerate(raw):
                     if v.strip():
                         vals[i] = float(v)
+                        if np.isinf(vals[i]):
+                            raise TableDataError(f"{vals[i]} is not a finite number")
                 tc.numerical[c.name] = vals
             elif c.kind == "categorical":
                 vocab = []

@@ -1,7 +1,11 @@
+import functools
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import generate_db, sample_seed
 from relgauss.model import batch_subgraphs
@@ -314,3 +318,36 @@ def test_sampling_matches_set_based_reference(synth_graph, max_hop, budget):
             assert sub.edges.shape[1] == sum(map(len, adj))  # no repeated pair
     if budget == 32:
         assert truncated > 0  # the budget cut itself is compared
+
+
+@functools.cache
+def synth_seeds(db_seed: int):
+    """The graph of a small generated DB and each target row's (seed node,
+    seed time), built once per ``db_seed``."""
+    with tempfile.TemporaryDirectory() as out:
+        schema, tables = generate_db(SynthConfig(n_entities=60, rng_seed=db_seed), out)
+    graph = build_graph(schema, tables)
+    task = schema.task
+    times = tables.tables[task.target_table].timestamps[task.seed_time_column]
+    return graph, [(graph.node_id(task.target_table, r), float(t)) for r, t in enumerate(times)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(db_seed=st.integers(0, 3), pick=st.integers(0, 10**6),
+       switch=st.sampled_from(["full", "no-structural-sampling", "no-semantic-refinement"]),
+       budget=st.integers(1, 150), keep=st.integers(1, 150))
+def test_rows_come_in_hop_order_and_edges_join_adjacent_hops(db_seed, pick, switch, budget,
+                                                             keep):
+    """What the last block's GraphSAGE cut rests on: the rows within h hops
+    of the seed lead its subgraph, and they hold every neighbour of the
+    rows within h - 1 hops."""
+    graph, seeds = synth_seeds(db_seed)
+    seed, t = seeds[pick % len(seeds)]
+    cfg = SamplingConfig(max_hop=3, stage1_budget=budget, stage2_keep=min(keep, budget))
+    embeddings = np.random.default_rng(pick).normal(size=(graph.n_nodes, 4))
+    kwargs = {"full": {}, "no-structural-sampling": {"rng": np.random.default_rng(pick)},
+              "no-semantic-refinement": {"skip_refinement": True}}[switch]
+    sub = sample_seed(graph, seed, t, embeddings.__getitem__, cfg, **kwargs)
+    assert sub.hop[0] == 0 and np.all(np.diff(sub.hop) >= 0)
+    i, j = sub.edges
+    assert np.all(np.abs(sub.hop[i] - sub.hop[j]) <= 1)

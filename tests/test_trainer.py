@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import tracemalloc
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import sample_seed
 from relgauss import numcore as nc
 from relgauss import trainer
-from relgauss.model import AblationFlags, GelModel, ModelConfig, batch_subgraphs, fuse
+from relgauss.model import (AblationFlags, BatchedSubgraphs, GelModel, ModelConfig,
+                            batch_subgraphs, fuse)
 from relgauss.model import loss as loss_fn
 from relgauss.numcore import Parameter
 from relgauss.relstore import build_graph, load_schema, load_tables
@@ -627,26 +629,84 @@ def test_eval_scores_of_the_seed_only_last_block_match_every_row(small_setup, ab
     np.testing.assert_allclose(scores, np.concatenate(want), rtol=0, atol=1e-12)
 
 
-def test_training_gradients_of_the_seed_only_last_block_match_every_row(small_setup):
-    """One micro-batch with dropout: the masks are drawn for every row and
-    cut to the seeds, so both forwards drop the same cells."""
+SEED_MODEL_3 = dataclasses.replace(SEED_MODEL, max_hop=3)
+# keeps 60, so that the 8-row batches of the first 16 training rows are padded
+DEEP_PADDED = dataclasses.replace(DEEP, stage2_keep=60)
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda a: a.name)
+def test_eval_scores_of_the_seed_only_last_block_match_every_row_at_three_hops(
+        small_setup, ablation):
+    """At 3 hops the last block's first two GraphSAGE layers skip the rows
+    past 2 and 1 hops, and a batch holds such rows."""
     schema, tables, graph, splits = small_setup
-    model = GelModel(SEED_MODEL, schema, tables)
+    model = GelModel(SEED_MODEL_3, schema, tables)
+    for attn in model.attn_layers:  # a bias that varies over the deltas
+        attn.bias.mu.data[:] = [3.0, 40.0]
+    rows = [int(r) for r in splits[0][:16]]
+    embed = EmbeddingCache(model, graph, tables)
+    scores = predict_rows(model, graph, schema, tables, rows, embed, DEEP_PADDED, ablation, 0,
+                          micro_batch=8)
+    want = []
+    with nc.no_grad():
+        for lo in (0, 8):
+            batch = batch_subgraphs(trainer.sample_rows(
+                graph, schema, tables, rows[lo:lo + 8], embed, DEEP_PADDED, ablation, (0, 0)))
+            assert len(set(batch.sizes)) > 1 and (batch.hop == 3).any()
+            want.append(scores_at_every_row(model, batch, tables, graph,
+                                            ablation=ablation, cache=embed).data)
+    np.testing.assert_allclose(scores, np.concatenate(want), rtol=0, atol=1e-12)
+
+
+def test_training_gradients_of_the_seed_only_last_block_match_every_row(small_setup,
+                                                                        monkeypatch):
+    """One 3-hop micro-batch with dropout. The last block draws masks for
+    the cells it computes alone; the every-row forward gets those masks on
+    the same cells and ones elsewhere, on cells that reach no seed."""
+    schema, tables, graph, splits = small_setup
+    model = GelModel(SEED_MODEL_3, schema, tables)
     rows = [int(r) for r in splits[0][:8]]
     embed = EmbeddingCache(model, graph, tables)
-    subs = trainer.sample_rows(graph, schema, tables, rows, embed, BENCH_SAMPLING,
-                               AblationFlags(), (0, 1))
+    subs = trainer.sample_rows(graph, schema, tables, rows, embed, DEEP_PADDED, AblationFlags(),
+                               (0, 1))
     targets = trainer._target_values(schema, tables)[rows]
     params = model.parameters()
+    draw = BatchedSubgraphs.dropout_mask
+    drawn = []
+
+    def recording(batch, shape, rate, counts=None):
+        mask = draw(batch, shape, rate, counts)
+        if mask is not None:  # a row mask covers each subgraph's first counts[b] rows
+            leading = np.arange(batch.index.shape[1]) < (batch.sizes if counts is None
+                                                         else counts)[:, None]
+            drawn.append((mask, batch.index[leading]))
+        return mask
+
+    def replaying(batch, shape, rate, counts=None):
+        mask, at = drawn.pop(0)
+        if mask.shape != shape:
+            full = np.ones(shape)
+            if mask.ndim == 4:
+                full[:, :, :mask.shape[2]] = mask
+            else:
+                full[at] = mask
+            mask = full
+        return mask
+
     grads, scores = [], []
-    for forward in (model.forward_batch, functools.partial(scores_at_every_row, model)):
+    for forward, masks in ((model.forward_batch, recording),
+                           (functools.partial(scores_at_every_row, model), replaying)):
+        monkeypatch.setattr(BatchedSubgraphs, "dropout_mask", masks)
         nc.zero_grad(params.values())
         rngs = [np.random.default_rng([0, 1, r, 1]) for r in rows]
-        out = forward(batch_subgraphs(subs, rngs), tables, graph, ablation=AblationFlags())
+        batch = batch_subgraphs(subs, rngs)
+        out = forward(batch, tables, graph, ablation=AblationFlags())
         nc.backward(loss_fn(out, targets, schema.task.kind).sum())
         grads.append({name: p.grad.copy() for name, p in params.items()})
         scores.append(out.data)
+    assert not drawn and len(set(batch.sizes)) > 1 and (batch.hop == 3).any()
     np.testing.assert_allclose(scores[0], scores[1], rtol=0, atol=1e-12)
+    monkeypatch.undo()
     with nc.no_grad():  # dropout ran in training
         assert not np.allclose(model.forward_batch(batch_subgraphs(subs), tables, graph).data,
                                scores[0])
